@@ -47,8 +47,7 @@ let modref_name = function
   | Ref -> "Ref"
   | ModRef -> "ModRef"
 
-let pp ppf = function
-  | RAlias a -> Fmt.string ppf (alias_name a)
-  | RModref m -> Fmt.string ppf (modref_name m)
+let name = function RAlias a -> alias_name a | RModref m -> modref_name m
+let pp ppf r = Fmt.string ppf (name r)
 
 let equal (a : t) (b : t) = a = b

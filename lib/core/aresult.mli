@@ -29,5 +29,9 @@ val is_definite : t -> bool
 
 val alias_name : alias_res -> string
 val modref_name : modref_res -> string
+
+(** The answer's name, as {!pp} prints it (a constant: no allocation). *)
+val name : t -> string
+
 val pp : t Fmt.t
 val equal : t -> t -> bool

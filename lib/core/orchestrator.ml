@@ -600,6 +600,11 @@ let handle_deadlined (t : t) ~(deadline : float) (q : Query.t) :
     Response.t * bool =
   handle_core t ~deadline:(Some deadline) q
 
+let cached (t : t) (q : Query.t) : Response.t option =
+  match Qcache.key_of ~epoch:t.config.epoch q with
+  | None -> None
+  | Some k -> Qcache.Local.find t.local k
+
 (** [ask_many t qs] — the batch entry point: the i-th response answers the
     i-th query. The domain-parallel fan-out (several orchestrators over a
     shared cache) lives in [Scaf_pdg.Schemes]; this sequential form is its

@@ -149,6 +149,12 @@ val handle : ?deadline:float -> t -> Query.t -> Response.t
     degraded. *)
 val handle_deadlined : t -> deadline:float -> Query.t -> Response.t * bool
 
+(** [cached t q] — [q]'s memoized response, if a cache tier holds one for
+    the orchestrator's epoch. Runs no module, emits no event and counts no
+    client query: the cheap probe a service makes before it coordinates a
+    full evaluation (a hit is exactly what {!handle} would return). *)
+val cached : t -> Query.t -> Response.t option
+
 (** [ask_many t qs] — resolve a batch; the i-th response answers the i-th
     query. Equivalent to [List.map (handle t) qs]; the domain-parallel
     fan-out over a shared cache lives in [Scaf_pdg.Schemes]. *)

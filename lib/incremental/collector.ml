@@ -90,6 +90,14 @@ let record_premise (t : t) (key : string) : unit =
   | top :: _ -> top.fpremises <- key :: top.fpremises
   | [] -> ()
 
+(* A hit is a premise edge of the enclosing frame. A client-level hit
+   (depth 0) has no frame, so its key is never rendered: the warm path
+   stays allocation-free. *)
+let record_hit (t : t) (q : Query.t) : unit =
+  match t.stack with
+  | top :: _ -> top.fpremises <- key_of_query q :: top.fpremises
+  | [] -> ()
+
 let on_event (t : t) (ev : Depsink.event) : unit =
   match ev with
   | Depsink.Enter { q; _ } ->
@@ -98,7 +106,7 @@ let on_event (t : t) (ev : Depsink.event) : unit =
       match t.stack with
       | top :: _ -> top.fmodules <- name :: top.fmodules
       | [] -> ())
-  | Depsink.Hit { q; _ } -> record_premise t (key_of_query q)
+  | Depsink.Hit { q; _ } -> record_hit t q
   | Depsink.Exit { q; memoized } -> (
       match t.stack with
       | [] -> ()

@@ -1,12 +1,11 @@
 (** Work-stealing domain pool with deterministic result reassembly.
 
-    Replaces the old static-chunking convention (each call to
-    [Schemes.parallel_map] respawned [jobs - 1] domains and handed every
-    domain a fixed share via one shared index counter) with a first-class
-    {!pool} value: domains are spawned once, live across calls, and each
-    {!map} distributes the items as per-worker LIFO deques with
-    random-victim stealing, so a worker that drew cheap items takes over
-    the tail of a worker that drew expensive ones.
+    Parallel evaluation runs on a first-class {!pool} value rather than
+    respawning domains per call with a fixed share each: domains are
+    spawned once, live across calls, and each {!map} distributes the
+    items as per-worker LIFO deques with random-victim stealing, so a
+    worker that drew cheap items takes over the tail of a worker that drew
+    expensive ones.
 
     {b Determinism.} Scheduling only decides {e who} computes an item and
     {e when}; the i-th result is always [f state items.(i)], written into

@@ -9,8 +9,8 @@
     - a {!scheme} — a domain-safe factory: every [spawn ()] builds a
       private module ensemble and orchestrator, but all workers spawned
       from one scheme share a single canonicalizing {!Scaf.Qcache.t}, so
-      memoized answers flow between worker domains. {!parallel_map} is the
-      deterministic fan-out that ties them together. *)
+      memoized answers flow between worker domains. {!Scheduler.map} is
+      the deterministic fan-out that ties them together. *)
 
 open Scaf
 open Scaf_profile
@@ -211,24 +211,9 @@ let memory_speculation_scheme = stateless_scheme memory_speculation
 let observed_scheme = stateless_scheme observed
 
 (* ------------------------------------------------------------------ *)
-(* The domain-parallel batch engine                                    *)
+(* Parallelism                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(** The default [--jobs]: one worker per recommended domain. *)
 let default_jobs () : int = Domain.recommended_domain_count ()
 
-(** DEPRECATED one-PR compatibility shim — use {!Scheduler} directly.
-
-    The old convention spawned (and joined) [jobs - 1] fresh domains on
-    every call; this now scopes a transient {!Scheduler.pool} around one
-    {!Scheduler.map}, so the semantics are unchanged (the i-th result
-    comes from the i-th item; [jobs <= 1] is exactly
-    [List.map (f (worker ())) items]; a worker exception is re-raised in
-    the calling domain) but respawning per call is exactly what the pool
-    API exists to avoid: long-lived callers should create one
-    {!Scheduler.pool} and pass it around. This shim will be deleted; do
-    not add callers. *)
-let parallel_map ~(jobs : int) ~(worker : unit -> 'w) ~(f : 'w -> 'a -> 'b)
-    (items : 'a list) : 'b list =
-  let jobs = max 1 (min jobs (List.length items)) in
-  Scheduler.with_pool ~jobs (fun pool ->
-      Scheduler.map pool ~state:worker ~f items)

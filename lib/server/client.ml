@@ -36,6 +36,7 @@ type t = {
   rng : Random.State.t;
   mutable fd : Unix.file_descr option;  (** [None] between reconnects *)
   mutable closed : bool;
+  bufs : Wire.buffers;  (** reused by every frame on this client *)
 }
 
 (* Full jitter: a uniform draw from [0, min(cap, base * 2^attempt)] — the
@@ -88,13 +89,13 @@ let exchange (c : t) (req : Protocol.request) : (Json.t, Protocol.err) result
     disconnect c;
     raise (Transport_error msg)
   in
-  match Wire.write_frame fd (Protocol.request_to_json req) with
+  match Wire.write_frame ~buf:c.bufs fd (Protocol.request_to_json req) with
   | Error e -> fail (Wire.error_to_string e)
   | Ok () -> (
       (* skip idle-keepalive heartbeats: they carry no data and may
          arrive ahead of any reply *)
       let rec read () =
-        match Wire.read_frame fd with
+        match Wire.read_frame ~buf:c.bufs fd with
         | Error e -> fail (Wire.error_to_string e)
         | Ok j when Protocol.is_heartbeat j -> read ()
         | Ok j -> (
@@ -141,6 +142,7 @@ let connect ?(name = "client") ?(retry = default_retry) ?(seed = 7)
       rng = Random.State.make [| seed; Hashtbl.hash path |];
       fd = None;
       closed = false;
+      bufs = Wire.buffers ();
     }
   in
   let hello = rpc c (Protocol.Hello { client = name }) in
@@ -193,7 +195,7 @@ let stream_exchange (c : t) ~(bench : string)
     raise (Transport_error msg)
   in
   match
-    Wire.write_frame fd
+    Wire.write_frame ~buf:c.bufs fd
       (Protocol.request_to_json
          (Protocol.Ask_many { bench; qs; deadline_ms; stream = true }))
   with
@@ -202,7 +204,7 @@ let stream_exchange (c : t) ~(bench : string)
       let items = ref [] in
       let cancel_sent = ref false in
       let rec read () =
-        match Wire.read_frame fd with
+        match Wire.read_frame ~buf:c.bufs fd with
         | Error e -> fail (Wire.error_to_string e)
         | Ok j -> (
             match Protocol.open_envelope j with
@@ -222,7 +224,7 @@ let stream_exchange (c : t) ~(bench : string)
                         | `Cancel ->
                             cancel_sent := true;
                             ignore
-                              (Wire.write_frame fd
+                              (Wire.write_frame ~buf:c.bufs fd
                                  (Protocol.request_to_json Protocol.Cancel))
                         | `Continue -> ())
                     | _ -> ());

@@ -135,13 +135,34 @@ and mail = {
     (producer) and its connection thread (consumer). Capacity is the
     backpressure: a full outbox makes the worker wait, a wait past
     [grace/4] sheds the remaining answers to degraded, a wait past
-    [grace] abandons the stream entirely. *)
+    [grace] abandons the stream entirely.
+
+    Waits are woken directly, never polled (DESIGN.md §14). The outbox
+    owns a socketpair: the producer waits on one end, the consumer on the
+    other (and on its client socket), each in [Unix.select] with its
+    remaining time budget as the timeout. A side flags itself asleep under
+    [om] before it waits; every state change the other side could be
+    waiting for (an item, a freed slot, finish, cancel, close) writes one
+    byte towards it if the flag is up. The sleeper clears its flag and
+    drains its end under [om] before it re-checks the state, so no byte
+    outlives the wait it was meant for, and neither side can swallow the
+    other's wakeup. The pair is closed when both producer and consumer
+    have released the outbox ([o_refs]): a worker may still push after
+    its consumer vanished, and a closed fd number can at once belong to
+    another connection. *)
 and outbox = {
   om : Mutex.t;
-  oc : Condition.t;
   obuf : (int * Protocol.answer) Queue.t;
   ocap : int;
   ograce : float;
+  prod_fd : Unix.file_descr;  (** producer's end of the wake pair *)
+  cons_fd : Unix.file_descr;  (** consumer's end *)
+  wake_scratch : Bytes.t;  (** drain buffer *)
+  mutable prod_asleep : bool;
+  mutable cons_asleep : bool;
+  mutable o_refs : int;  (** producer + consumer; the pair closes at 0 *)
+  mutable o_timeouts : int;  (** waits that ended by their timeout *)
+  mutable o_unpolled : int;  (** items taken since the socket was polled *)
   mutable o_closed : bool;  (** consumer gone; producer must stop *)
   mutable o_cancel : bool;  (** client sent [cancel] *)
   mutable o_done : bool;  (** producer finished (or gave up) *)
@@ -210,13 +231,28 @@ let with_sessions (t : t) (f : unit -> 'a) : 'a =
 (* Outbox                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(** A fresh outbox, held twice: once by its producer and once by its
+    consumer, each of which calls {!outbox_release} when done with it.
+    Raises [Unix.Unix_error] when no socketpair can be opened (EMFILE). *)
 let outbox_create ~(cap : int) ~(grace : float) : outbox =
+  let prod_fd, cons_fd =
+    Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+  in
+  Unix.set_nonblock prod_fd;
+  Unix.set_nonblock cons_fd;
   {
     om = Mutex.create ();
-    oc = Condition.create ();
     obuf = Queue.create ();
     ocap = max 1 cap;
     ograce = grace;
+    prod_fd;
+    cons_fd;
+    wake_scratch = Bytes.create 16;
+    prod_asleep = false;
+    cons_asleep = false;
+    o_refs = 2;
+    o_timeouts = 0;
+    o_unpolled = 0;
     o_closed = false;
     o_cancel = false;
     o_done = false;
@@ -228,76 +264,166 @@ let with_outbox (ob : outbox) (f : unit -> 'a) : 'a =
   Mutex.lock ob.om;
   Fun.protect ~finally:(fun () -> Mutex.unlock ob.om) f
 
-(* Producer side: push one answer, waiting while the outbox is full.
-   OCaml's [Condition] has no timed wait, so the wait is emulated in
-   50 ms slices — the grace clock keeps running even if the consumer
-   never signals again. *)
+type side = Producer | Consumer
+
+(* Under [om]: one byte written at [fd] arrives at the other end. A full
+   socket buffer already holds a wakeup, so EAGAIN is success. *)
+let send_wake (fd : Unix.file_descr) : unit =
+  try ignore (Unix.single_write_substring fd "!" 0 1)
+  with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+
+(* Under [om]: wake [side] if it sleeps. *)
+let poke (ob : outbox) (side : side) : unit =
+  match side with
+  | Producer -> if ob.prod_asleep then send_wake ob.cons_fd
+  | Consumer -> if ob.cons_asleep then send_wake ob.prod_fd
+
+(* The end states (finish, close, cancel) concern both sides. *)
+let poke_both (ob : outbox) : unit =
+  poke ob Producer;
+  poke ob Consumer
+
+let rec drain (ob : outbox) (fd : Unix.file_descr) : unit =
+  match Unix.read fd ob.wake_scratch 0 (Bytes.length ob.wake_scratch) with
+  | 0 -> ()
+  | _ -> drain ob fd
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ob fd
+
+(* Entered and left with [om] held: [side] sleeps until poked, [sock] (if
+   any) turns readable, or [timeout] seconds pass. Returns whether [sock]
+   is readable. *)
+let sleep (ob : outbox) (side : side) ?(sock : Unix.file_descr option)
+    (timeout : float) : bool =
+  let own = match side with Producer -> ob.prod_fd | Consumer -> ob.cons_fd in
+  let set_asleep b =
+    match side with
+    | Producer -> ob.prod_asleep <- b
+    | Consumer -> ob.cons_asleep <- b
+  in
+  set_asleep true;
+  Mutex.unlock ob.om;
+  let fds = match sock with Some s -> [ own; s ] | None -> [ own ] in
+  let ready =
+    match Unix.select fds [] [] timeout with
+    | r, _, _ -> r
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> [ own ]
+  in
+  Mutex.lock ob.om;
+  set_asleep false;
+  if ready = [] then ob.o_timeouts <- ob.o_timeouts + 1;
+  drain ob own;
+  match sock with Some s -> List.memq s ready | None -> false
+
+(* Producer side: push one answer, waiting while the outbox is full. The
+   wait is timed by the grace clock, so it ends even if the consumer
+   never takes another item. *)
 let outbox_push (ob : outbox) (item : int * Protocol.answer) :
     [ `Ok of float | `Overrun | `Stopped ] =
   let t0 = now () in
-  let rec wait () =
-    match
-      with_outbox ob (fun () ->
-          if ob.o_closed || ob.o_cancel then `Stopped
-          else if Queue.length ob.obuf < ob.ocap then begin
-            Queue.add item ob.obuf;
-            Condition.broadcast ob.oc;
-            `Ok (now () -. t0)
-          end
-          else if now () -. t0 > ob.ograce then `Overrun
-          else `Full)
-    with
-    | `Full ->
-        Thread.delay 0.05;
-        wait ()
-    | (`Ok _ | `Overrun | `Stopped) as r -> r
+  Mutex.lock ob.om;
+  let rec go () =
+    if ob.o_closed || ob.o_cancel then `Stopped
+    else if Queue.length ob.obuf < ob.ocap then begin
+      Queue.add item ob.obuf;
+      poke ob Consumer;
+      `Ok (now () -. t0)
+    end
+    else
+      let left = ob.ograce -. (now () -. t0) in
+      if left < 0.0 then `Overrun
+      else begin
+        ignore (sleep ob Producer left : bool);
+        go ()
+      end
   in
-  wait ()
+  let r = go () in
+  Mutex.unlock ob.om;
+  r
+
+let sock_readable (sock : Unix.file_descr) : bool =
+  match Unix.select [ sock ] [] [] 0.0 with
+  | [], _, _ -> false
+  | _ -> true
+  | exception Unix.Unix_error _ -> true
 
 (* Consumer side: take the next item, waiting at most [max_wait] so the
-   connection thread keeps its own heartbeat/cancel-poll cadence. *)
-let outbox_take (ob : outbox) ~(max_wait : float) :
-    [ `Item of int * Protocol.answer | `Err of Protocol.err | `Done | `Timeout ]
-    =
+   connection thread keeps its own heartbeat cadence. With [sock], the
+   wait also ends when the client socket turns readable ([`Readable]: a
+   [cancel], or the peer gone), and a consumer that never has to wait
+   still polls the socket once every [ocap] items. *)
+let outbox_take ?(sock : Unix.file_descr option) (ob : outbox)
+    ~(max_wait : float) :
+    [ `Item of int * Protocol.answer
+    | `Err of Protocol.err
+    | `Done
+    | `Timeout
+    | `Readable ] =
   let t0 = now () in
-  let rec wait () =
-    match
-      with_outbox ob (fun () ->
-          if not (Queue.is_empty ob.obuf) then begin
-            let it = Queue.pop ob.obuf in
-            Condition.broadcast ob.oc;
-            `Item it
-          end
-          else
-            match ob.o_err with
-            | Some e -> `Err e
-            | None ->
-                if ob.o_done then `Done
-                else if now () -. t0 >= max_wait then `Timeout
-                else `Empty)
-    with
-    | `Empty ->
-        Thread.delay 0.02;
-        wait ()
-    | (`Item _ | `Err _ | `Done | `Timeout) as r -> r
+  Mutex.lock ob.om;
+  let pop () =
+    let it = Queue.pop ob.obuf in
+    ob.o_unpolled <- ob.o_unpolled + 1;
+    poke ob Producer;
+    `Item it
   in
-  wait ()
+  let rec go () =
+    if not (Queue.is_empty ob.obuf) then
+      match sock with
+      | Some s when ob.o_unpolled >= ob.ocap ->
+          ob.o_unpolled <- 0;
+          if sock_readable s then `Readable else pop ()
+      | _ -> pop ()
+    else
+      match ob.o_err with
+      | Some e -> `Err e
+      | None ->
+          if ob.o_done then `Done
+          else
+            let left = max_wait -. (now () -. t0) in
+            if left <= 0.0 then `Timeout
+            else if sleep ob Consumer ?sock left then begin
+              ob.o_unpolled <- 0;
+              `Readable
+            end
+            else go ()
+  in
+  let r = go () in
+  Mutex.unlock ob.om;
+  r
 
 let outbox_finish ?err (ob : outbox) : unit =
   with_outbox ob (fun () ->
       (match err with Some e when ob.o_err = None -> ob.o_err <- Some e | _ -> ());
       ob.o_done <- true;
-      Condition.broadcast ob.oc)
+      poke_both ob)
 
 let outbox_close (ob : outbox) : unit =
   with_outbox ob (fun () ->
       ob.o_closed <- true;
-      Condition.broadcast ob.oc)
+      poke_both ob)
 
 let outbox_cancel (ob : outbox) : unit =
   with_outbox ob (fun () ->
       ob.o_cancel <- true;
-      Condition.broadcast ob.oc)
+      poke_both ob)
+
+(** Drop one side's hold on the outbox; the last release closes the wake
+    pair. The caller must not touch the outbox afterwards. *)
+let outbox_release (ob : outbox) : unit =
+  let last =
+    with_outbox ob (fun () ->
+        ob.o_refs <- ob.o_refs - 1;
+        ob.o_refs = 0)
+  in
+  if last then begin
+    (try Unix.close ob.prod_fd with Unix.Unix_error _ -> ());
+    try Unix.close ob.cons_fd with Unix.Unix_error _ -> ()
+  end
+
+(** How many waits on this outbox ended by their timeout rather than by a
+    wakeup: a lost wakeup shows up here. *)
+let outbox_timeouts (ob : outbox) : int = with_outbox ob (fun () -> ob.o_timeouts)
 
 (* ------------------------------------------------------------------ *)
 (* Worker pool                                                         *)
@@ -360,6 +486,7 @@ let run_batch_job (t : t) (w : Engine.worker) (job : job) (mail : mail)
 let run_stream_job (t : t) (w : Engine.worker) (job : job) (ob : outbox)
     (degrade : Admission.degrade) : unit =
   let shed = ref false in
+  Fun.protect ~finally:(fun () -> outbox_release ob) @@ fun () ->
   match
     List.iteri
       (fun i wq ->
@@ -637,109 +764,97 @@ let handle_request (t : t) (req : Protocol.request) : Json.t =
 (* Drain a streaming job's outbox onto the wire. Runs on the connection
    thread. Returns [`Keep] when the connection can keep serving requests
    and [`Drop] when the stream died in a way that loses framing (slow
-   consumer, vanished peer). While pumping, the socket is polled for a
-   client [cancel] frame; any other pipelined request mid-stream is
-   ignored by protocol contract. *)
-let pump_stream (t : t) (s : session) (ob : outbox) : [ `Keep | `Drop ] =
+   consumer, vanished peer). The outbox wait also watches the client
+   socket, so a [cancel] frame is read as soon as it lands; any other
+   pipelined request mid-stream is ignored by protocol contract. *)
+let pump_stream (t : t) (s : session) (buf : Wire.buffers) (ob : outbox) :
+    [ `Keep | `Drop ] =
   let items = ref 0 in
   let last_write = ref (now ()) in
-  let dead = ref false in
   let write j =
-    match Wire.write_frame ~write_budget:t.cfg.write_budget s.fd j with
+    match Wire.write_frame ~write_budget:t.cfg.write_budget ~buf s.fd j with
     | Ok () ->
         last_write := now ();
         true
     | Error _ -> false
   in
-  let poll_cancel () =
-    match Unix.select [ s.fd ] [] [] 0.0 with
-    | [], _, _ -> ()
-    | _ -> (
-        match
-          Wire.read_frame ~max_len:t.cfg.max_frame
-            ~frame_budget:t.cfg.frame_budget s.fd
-        with
-        | Ok j -> (
-            match Protocol.request_of_json j with
-            | Protocol.Cancel -> outbox_cancel ob
-            | _ -> ()
-            | exception _ -> ())
-        | Error Wire.Idle -> ()
-        | Error _ ->
-            (* EOF or broken framing mid-stream: the consumer is gone *)
-            dead := true)
-    | exception _ -> ()
+  (* false when the consumer is gone: EOF or broken framing mid-stream *)
+  let read_control () =
+    match
+      Wire.read_frame ~max_len:t.cfg.max_frame ~frame_budget:t.cfg.frame_budget
+        ~buf s.fd
+    with
+    | Ok j ->
+        (match Protocol.request_of_json j with
+        | Protocol.Cancel -> outbox_cancel ob
+        | _ -> ()
+        | exception _ -> ());
+        true
+    | Error Wire.Idle -> true
+    | Error _ -> false
+  in
+  let abort () =
+    outbox_close ob;
+    Metrics.incr t.m_streams_aborted;
+    `Drop
   in
   (* note: [t.stopping] is deliberately not checked here — an admitted
      streaming job drains through the worker pool on shutdown, and this
      pump keeps running so its answers are not silently dropped *)
   let rec pump () =
-    poll_cancel ();
-    if !dead then begin
-      outbox_close ob;
-      Metrics.incr t.m_streams_aborted;
-      `Drop
-    end
-    else
-      match outbox_take ob ~max_wait:0.2 with
-      | `Item (i, a) ->
-          if write (Protocol.stream_item_to_json i a) then begin
-            incr items;
-            Metrics.incr t.m_stream_items;
+    match outbox_take ~sock:s.fd ob ~max_wait:0.2 with
+    | exception Unix.Unix_error _ -> abort ()
+    | `Readable -> if read_control () then pump () else abort ()
+    | `Item (i, a) ->
+        if write (Protocol.stream_item_to_json i a) then begin
+          incr items;
+          Metrics.incr t.m_stream_items;
+          pump ()
+        end
+        else abort ()
+    | `Err e ->
+        (* stream aborted server-side (overrun / worker crash): report
+           and hang up — mid-stream framing cannot be resumed *)
+        Metrics.incr t.m_streams_aborted;
+        ignore (write (Protocol.err_to_json e));
+        `Drop
+    | `Done ->
+        let cancelled = with_outbox ob (fun () -> ob.o_cancel) in
+        if cancelled then Metrics.incr t.m_streams_cancelled;
+        let summary =
+          {
+            Protocol.st_count = !items;
+            st_shed = with_outbox ob (fun () -> ob.o_shed);
+            st_cancelled = cancelled;
+          }
+        in
+        if write (Protocol.stream_end_to_json summary) then `Keep else `Drop
+    | `Timeout ->
+        (* the next answer is still cooking: heartbeat so the client
+           (and any NAT in between) knows the stream is alive *)
+        if
+          t.cfg.heartbeat_interval > 0.0
+          && now () -. !last_write > t.cfg.heartbeat_interval
+        then
+          if write Protocol.stream_heartbeat_json then begin
+            Metrics.incr t.m_heartbeats;
             pump ()
           end
-          else begin
-            outbox_close ob;
-            Metrics.incr t.m_streams_aborted;
-            `Drop
-          end
-      | `Err e ->
-          (* stream aborted server-side (overrun / worker crash): report
-             and hang up — mid-stream framing cannot be resumed *)
-          Metrics.incr t.m_streams_aborted;
-          ignore (write (Protocol.err_to_json e));
-          `Drop
-      | `Done ->
-          let cancelled = with_outbox ob (fun () -> ob.o_cancel) in
-          if cancelled then Metrics.incr t.m_streams_cancelled;
-          let summary =
-            {
-              Protocol.st_count = !items;
-              st_shed = with_outbox ob (fun () -> ob.o_shed);
-              st_cancelled = cancelled;
-            }
-          in
-          if write (Protocol.stream_end_to_json summary) then `Keep
-          else `Drop
-      | `Timeout ->
-          (* the next answer is still cooking: heartbeat so the client
-             (and any NAT in between) knows the stream is alive *)
-          if
-            t.cfg.heartbeat_interval > 0.0
-            && now () -. !last_write > t.cfg.heartbeat_interval
-          then
-            if write Protocol.stream_heartbeat_json then begin
-              Metrics.incr t.m_heartbeats;
-              pump ()
-            end
-            else begin
-              outbox_close ob;
-              Metrics.incr t.m_streams_aborted;
-              `Drop
-            end
-          else pump ()
+          else abort ()
+        else pump ()
   in
   Metrics.incr t.m_streams_opened;
   pump ()
 
 (* Admit and serve one streaming [ask_many]. Admission errors are ordinary
    reply frames (the stream never opened). *)
-let handle_stream (t : t) (s : session) ~(bench : string)
+let handle_stream (t : t) (s : session) (buf : Wire.buffers) ~(bench : string)
     ~(qs : Protocol.wire_query list) ~(deadline_ms : float option) :
     [ `Keep | `Drop ] =
   let reply_err e =
-    match Wire.write_frame ~write_budget:t.cfg.write_budget s.fd
-            (Protocol.err_to_json e)
+    match
+      Wire.write_frame ~write_budget:t.cfg.write_budget ~buf s.fd
+        (Protocol.err_to_json e)
     with
     | Ok () -> `Keep
     | Error _ -> `Drop
@@ -747,25 +862,37 @@ let handle_stream (t : t) (s : session) ~(bench : string)
   match Engine.find_bench t.engine bench with
   | None -> reply_err (Protocol.unknown_bench bench)
   | Some b -> (
-      let ob = outbox_create ~cap:t.cfg.outbox_cap ~grace:t.cfg.stream_grace in
-      let job =
-        {
-          j_bench = b;
-          j_queries = qs;
-          j_deadline = deadline_of t deadline_ms;
-          j_sink = Stream ob;
-        }
-      in
-      match Admission.submit t.queue job with
-      | Admission.Admitted _ ->
-          Metrics.add t.m_queue_depth 1;
-          pump_stream t s ob
-      | Admission.Overloaded retry_after_ms ->
+      match outbox_create ~cap:t.cfg.outbox_cap ~grace:t.cfg.stream_grace with
+      | exception Unix.Unix_error _ ->
+          (* out of fds for the wake pair: a transient overload *)
           Metrics.incr t.m_rejected;
-          reply_err (Protocol.overloaded ~retry_after_ms)
-      | Admission.Closed ->
-          Metrics.incr t.m_rejected;
-          reply_err Protocol.shutting_down)
+          reply_err (Protocol.overloaded ~retry_after_ms:100.0)
+      | ob -> (
+          let job =
+            {
+              j_bench = b;
+              j_queries = qs;
+              j_deadline = deadline_of t deadline_ms;
+              j_sink = Stream ob;
+            }
+          in
+          match Admission.submit t.queue job with
+          | Admission.Admitted _ ->
+              Metrics.add t.m_queue_depth 1;
+              Fun.protect
+                ~finally:(fun () -> outbox_release ob)
+                (fun () -> pump_stream t s buf ob)
+          | Admission.Overloaded retry_after_ms ->
+              (* no producer will run: release both holds *)
+              outbox_release ob;
+              outbox_release ob;
+              Metrics.incr t.m_rejected;
+              reply_err (Protocol.overloaded ~retry_after_ms)
+          | Admission.Closed ->
+              outbox_release ob;
+              outbox_release ob;
+              Metrics.incr t.m_rejected;
+              reply_err Protocol.shutting_down))
 
 (* ------------------------------------------------------------------ *)
 (* Connection threads                                                  *)
@@ -793,9 +920,10 @@ let serve_connection (t : t) (s : session) : unit =
          write budget converts into a failed write *)
       (try Unix.setsockopt_float s.fd Unix.SO_RCVTIMEO 0.2 with _ -> ());
       (try Unix.setsockopt_float s.fd Unix.SO_SNDTIMEO 0.2 with _ -> ());
+      let buf = Wire.buffers () in
       let last_write = ref (now ()) in
       let write j =
-        match Wire.write_frame ~write_budget:t.cfg.write_budget s.fd j with
+        match Wire.write_frame ~write_budget:t.cfg.write_budget ~buf s.fd j with
         | Ok () ->
             last_write := now ();
             true
@@ -806,7 +934,7 @@ let serve_connection (t : t) (s : session) : unit =
         else
           match
             Wire.read_frame ~max_len:t.cfg.max_frame
-              ~frame_budget:t.cfg.frame_budget s.fd
+              ~frame_budget:t.cfg.frame_budget ~buf s.fd
           with
           | Error Wire.Idle ->
               (* keepalive: a quiet-but-alive connection gets a heartbeat
@@ -853,7 +981,7 @@ let serve_connection (t : t) (s : session) : unit =
                   match Protocol.request_of_json j with
                   | Protocol.Ask_many { bench; qs; deadline_ms; stream = true }
                     -> (
-                      match handle_stream t s ~bench ~qs ~deadline_ms with
+                      match handle_stream t s buf ~bench ~qs ~deadline_ms with
                       | `Keep ->
                           last_write := now ();
                           Metrics.incr t.m_answered;

@@ -214,12 +214,12 @@ let cheap_orchestrator (w : worker) (b : bench) : Orchestrator.t =
 let flight_key (b : bench) (q : Query.t) : string =
   Fmt.str "%s\x00%d\x00%a" (bench_id b) (Query.epoch_of q) Query.pp q
 
-(* Full-fidelity evaluation with coalescing: the first thread in becomes
-   the flight's leader and runs the consult sweep; identical concurrent
+(* A miss, evaluated with coalescing: the first thread in becomes the
+   flight's leader and runs the consult sweep; identical concurrent
    queries block on the flight and share its outcome (a joiner inherits
    the leader's deadline fate — sound either way, and flagged). *)
-let full_answer (w : worker) (b : bench) (q : Query.t)
-    ~(deadline : float option) : Response.t * bool * bool =
+let flight_answer (w : worker) (b : bench) (o : Orchestrator.t)
+    (q : Query.t) ~(deadline : float option) : Response.t * bool * bool =
   let eng = w.eng in
   let key = flight_key b q in
   Mutex.lock eng.fm;
@@ -242,7 +242,6 @@ let full_answer (w : worker) (b : bench) (q : Query.t)
       let fl = { outcome = None; waiters = 0 } in
       Hashtbl.add eng.flights key fl;
       Mutex.unlock eng.fm;
-      let o = full_orchestrator w b in
       let outcome =
         match
           (match deadline with
@@ -264,6 +263,20 @@ let full_answer (w : worker) (b : bench) (q : Query.t)
       (match outcome with
       | Ok (r, expired) -> (r, expired, false)
       | Error e -> raise e)
+
+(* Full-fidelity evaluation. A warm hit is answered straight from the
+   cache: no flight key to render, no flight-table lock. Like the
+   orchestrator, a hit past the request's deadline is flagged. *)
+let full_answer (w : worker) (b : bench) (q : Query.t)
+    ~(deadline : float option) : Response.t * bool * bool =
+  let o = full_orchestrator w b in
+  match Orchestrator.cached o q with
+  | Some r ->
+      let expired =
+        match deadline with Some d -> clock () >= d | None -> false
+      in
+      (r, expired, false)
+  | None -> flight_answer w b o q ~deadline
 
 (** Answer one wire query at the given degradation level. The query is
     stamped with the benchmark's current epoch, so it can only hit cache

@@ -83,18 +83,17 @@ let string_member_opt name j =
 
 let escape (b : Buffer.t) (s : string) : unit =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | '"' -> Buffer.add_string b "\\\""
+    | '\\' -> Buffer.add_string b "\\\\"
+    | '\n' -> Buffer.add_string b "\\n"
+    | '\r' -> Buffer.add_string b "\\r"
+    | '\t' -> Buffer.add_string b "\\t"
+    | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+    | c -> Buffer.add_char b c
+  done;
   Buffer.add_char b '"'
 
 let rec emit (b : Buffer.t) (j : t) : unit =
@@ -138,189 +137,231 @@ let to_string (j : t) : string =
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type cursor = { s : string; mutable pos : int }
+(* The cursor reads [s] up to [lim] only, so a frame can be parsed in
+   place from a connection's reusable read buffer. Nothing returned by the
+   parser aliases [s]: strings are copied out ([String.sub] / [Buffer]).
+   The hot helpers return plain [char]s and [bool]s, never options, so
+   scanning allocates nothing; callers test [at_end] before [cur]. *)
+type cursor = { s : string; mutable pos : int; lim : int }
 
-let peek (c : cursor) : char option =
-  if c.pos < String.length c.s then Some c.s.[c.pos] else None
-
+let at_end (c : cursor) : bool = c.pos >= c.lim
+let cur (c : cursor) : char = String.unsafe_get c.s c.pos
 let advance (c : cursor) : unit = c.pos <- c.pos + 1
+let looking_at (c : cursor) (ch : char) : bool = c.pos < c.lim && cur c = ch
 
 let skip_ws (c : cursor) : unit =
   while
-    match peek c with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance c;
-        true
-    | _ -> false
+    c.pos < c.lim
+    && match cur c with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
   do
-    ()
+    advance c
   done
 
 let expect (c : cursor) (ch : char) : unit =
-  match peek c with
-  | Some x when x = ch -> advance c
-  | Some x -> parse_error "at %d: expected %C, got %C" c.pos ch x
-  | None -> parse_error "at %d: expected %C, got end of input" c.pos ch
+  if at_end c then
+    parse_error "at %d: expected %C, got end of input" c.pos ch
+  else
+    let x = cur c in
+    if x = ch then advance c
+    else parse_error "at %d: expected %C, got %C" c.pos ch x
 
 let parse_hex4 (c : cursor) : int =
   let v = ref 0 in
   for _ = 1 to 4 do
-    (match peek c with
-    | Some ch ->
-        let d =
-          match ch with
-          | '0' .. '9' -> Char.code ch - Char.code '0'
-          | 'a' .. 'f' -> Char.code ch - Char.code 'a' + 10
-          | 'A' .. 'F' -> Char.code ch - Char.code 'A' + 10
-          | _ -> parse_error "at %d: bad \\u escape" c.pos
-        in
-        v := (!v * 16) + d
-    | None -> parse_error "unterminated \\u escape");
+    if at_end c then parse_error "unterminated \\u escape";
+    let d =
+      match cur c with
+      | '0' .. '9' as ch -> Char.code ch - Char.code '0'
+      | 'a' .. 'f' as ch -> Char.code ch - Char.code 'a' + 10
+      | 'A' .. 'F' as ch -> Char.code ch - Char.code 'A' + 10
+      | _ -> parse_error "at %d: bad \\u escape" c.pos
+    in
+    v := (!v * 16) + d;
     advance c
   done;
   !v
 
+let add_utf8 (b : Buffer.t) (code : int) : unit =
+  (* good enough for the protocol: BMP code points as UTF-8 *)
+  if code < 0x80 then Buffer.add_char b (Char.chr code)
+  else if code < 0x800 then begin
+    Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
+    Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+  end
+  else begin
+    Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
+    Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+    Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+  end
+
+let unescape (c : cursor) (e : char) : char =
+  match e with
+  | '"' -> '"'
+  | '\\' -> '\\'
+  | '/' -> '/'
+  | 'n' -> '\n'
+  | 't' -> '\t'
+  | 'r' -> '\r'
+  | 'b' -> '\b'
+  | 'f' -> '\012'
+  | _ -> parse_error "at %d: bad escape" c.pos
+
+(* The body of a string with escapes, from the cursor to the closing
+   quote, appended to [b]. *)
+let rec string_body (c : cursor) (b : Buffer.t) : unit =
+  if at_end c then parse_error "unterminated string";
+  match cur c with
+  | '"' -> advance c
+  | '\\' ->
+      advance c;
+      if at_end c then parse_error "at %d: bad escape" c.pos;
+      (match cur c with
+      | 'u' ->
+          advance c;
+          add_utf8 b (parse_hex4 c)
+      | e ->
+          Buffer.add_char b (unescape c e);
+          advance c);
+      string_body c b
+  | ch ->
+      Buffer.add_char b ch;
+      advance c;
+      string_body c b
+
 let parse_string (c : cursor) : string =
   expect c '"';
-  let b = Buffer.create 16 in
-  let rec loop () =
-    match peek c with
-    | None -> parse_error "unterminated string"
-    | Some '"' -> advance c
-    | Some '\\' -> (
-        advance c;
-        match peek c with
-        | Some '"' -> Buffer.add_char b '"'; advance c; loop ()
-        | Some '\\' -> Buffer.add_char b '\\'; advance c; loop ()
-        | Some '/' -> Buffer.add_char b '/'; advance c; loop ()
-        | Some 'n' -> Buffer.add_char b '\n'; advance c; loop ()
-        | Some 't' -> Buffer.add_char b '\t'; advance c; loop ()
-        | Some 'r' -> Buffer.add_char b '\r'; advance c; loop ()
-        | Some 'b' -> Buffer.add_char b '\b'; advance c; loop ()
-        | Some 'f' -> Buffer.add_char b '\012'; advance c; loop ()
-        | Some 'u' ->
-            advance c;
-            let code = parse_hex4 c in
-            (* good enough for the protocol: BMP code points as UTF-8 *)
-            if code < 0x80 then Buffer.add_char b (Char.chr code)
-            else if code < 0x800 then begin
-              Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-              Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-            end
-            else begin
-              Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-              Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-              Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-            end;
-            loop ()
-        | _ -> parse_error "at %d: bad escape" c.pos)
-    | Some ch ->
-        Buffer.add_char b ch;
-        advance c;
-        loop ()
-  in
-  loop ();
-  Buffer.contents b
+  let start = c.pos in
+  let i = ref start in
+  while !i < c.lim && match String.unsafe_get c.s !i with '"' | '\\' -> false | _ -> true do
+    incr i
+  done;
+  if !i < c.lim && String.unsafe_get c.s !i = '"' then begin
+    (* no escapes: one copy, straight out of the input *)
+    c.pos <- !i + 1;
+    String.sub c.s start (!i - start)
+  end
+  else begin
+    let b = Buffer.create (!i - start + 16) in
+    Buffer.add_substring b c.s start (!i - start);
+    c.pos <- !i;
+    string_body c b;
+    Buffer.contents b
+  end
 
 let parse_number (c : cursor) : t =
   let start = c.pos in
   let is_float = ref false in
-  let rec loop () =
-    match peek c with
-    | Some ('0' .. '9' | '-' | '+') -> advance c; loop ()
-    | Some ('.' | 'e' | 'E') ->
+  while
+    c.pos < c.lim
+    &&
+    match cur c with
+    | '0' .. '9' | '-' | '+' -> true
+    | '.' | 'e' | 'E' ->
         is_float := true;
-        advance c;
-        loop ()
-    | _ -> ()
-  in
-  loop ();
+        true
+    | _ -> false
+  do
+    advance c
+  done;
   let text = String.sub c.s start (c.pos - start) in
   if !is_float then
     match float_of_string_opt text with
     | Some f -> Float f
     | None -> parse_error "at %d: bad number %S" start text
   else
-    match int_of_string_opt text with
-    | Some i -> Int i
-    | None -> (
+    match int_of_string text with
+    | i -> Int i
+    | exception Failure _ -> (
         match float_of_string_opt text with
         | Some f -> Float f
         | None -> parse_error "at %d: bad number %S" start text)
 
+(* Is [word] spelled at the cursor? *)
+let rec spelled (c : cursor) (word : string) (i : int) : bool =
+  i = String.length word
+  || c.pos + i < c.lim
+     && String.unsafe_get c.s (c.pos + i) = String.unsafe_get word i
+     && spelled c word (i + 1)
+
+let literal (c : cursor) (word : string) (v : t) : t =
+  if spelled c word 0 then begin
+    c.pos <- c.pos + String.length word;
+    v
+  end
+  else parse_error "at %d: bad literal" c.pos
+
 let rec parse_value (c : cursor) : t =
   skip_ws c;
-  match peek c with
-  | None -> parse_error "unexpected end of input"
-  | Some '"' -> String (parse_string c)
-  | Some '{' ->
+  if at_end c then parse_error "unexpected end of input";
+  match cur c with
+  | '"' -> String (parse_string c)
+  | '{' ->
       advance c;
       skip_ws c;
-      if peek c = Some '}' then begin advance c; Obj [] end
-      else begin
-        let fields = ref [] in
-        let rec fields_loop () =
-          skip_ws c;
-          let k = parse_string c in
-          skip_ws c;
-          expect c ':';
-          let v = parse_value c in
-          fields := (k, v) :: !fields;
-          skip_ws c;
-          match peek c with
-          | Some ',' -> advance c; fields_loop ()
-          | Some '}' -> advance c
-          | _ -> parse_error "at %d: expected ',' or '}'" c.pos
-        in
-        fields_loop ();
-        Obj (List.rev !fields)
+      if looking_at c '}' then begin
+        advance c;
+        Obj []
       end
-  | Some '[' ->
+      else Obj (parse_fields c [])
+  | '[' ->
       advance c;
       skip_ws c;
-      if peek c = Some ']' then begin advance c; List [] end
-      else begin
-        let items = ref [] in
-        let rec items_loop () =
-          let v = parse_value c in
-          items := v :: !items;
-          skip_ws c;
-          match peek c with
-          | Some ',' -> advance c; items_loop ()
-          | Some ']' -> advance c
-          | _ -> parse_error "at %d: expected ',' or ']'" c.pos
-        in
-        items_loop ();
-        List (List.rev !items)
+      if looking_at c ']' then begin
+        advance c;
+        List []
       end
-  | Some 't' ->
-      if c.pos + 4 <= String.length c.s && String.sub c.s c.pos 4 = "true" then begin
-        c.pos <- c.pos + 4;
-        Bool true
-      end
-      else parse_error "at %d: bad literal" c.pos
-  | Some 'f' ->
-      if c.pos + 5 <= String.length c.s && String.sub c.s c.pos 5 = "false"
-      then begin
-        c.pos <- c.pos + 5;
-        Bool false
-      end
-      else parse_error "at %d: bad literal" c.pos
-  | Some 'n' ->
-      if c.pos + 4 <= String.length c.s && String.sub c.s c.pos 4 = "null" then begin
-        c.pos <- c.pos + 4;
-        Null
-      end
-      else parse_error "at %d: bad literal" c.pos
-  | Some ('-' | '0' .. '9') -> parse_number c
-  | Some ch -> parse_error "at %d: unexpected %C" c.pos ch
+      else List (parse_items c [])
+  | 't' -> literal c "true" (Bool true)
+  | 'f' -> literal c "false" (Bool false)
+  | 'n' -> literal c "null" Null
+  | '-' | '0' .. '9' -> parse_number c
+  | ch -> parse_error "at %d: unexpected %C" c.pos ch
+
+and parse_fields (c : cursor) (acc : (string * t) list) : (string * t) list =
+  skip_ws c;
+  let k = parse_string c in
+  skip_ws c;
+  expect c ':';
+  let v = parse_value c in
+  let acc = (k, v) :: acc in
+  skip_ws c;
+  if looking_at c ',' then begin
+    advance c;
+    parse_fields c acc
+  end
+  else if looking_at c '}' then begin
+    advance c;
+    List.rev acc
+  end
+  else parse_error "at %d: expected ',' or '}'" c.pos
+
+and parse_items (c : cursor) (acc : t list) : t list =
+  let acc = parse_value c :: acc in
+  skip_ws c;
+  if looking_at c ',' then begin
+    advance c;
+    parse_items c acc
+  end
+  else if looking_at c ']' then begin
+    advance c;
+    List.rev acc
+  end
+  else parse_error "at %d: expected ',' or ']'" c.pos
+
+let parse (c : cursor) : t =
+  let v = parse_value c in
+  skip_ws c;
+  if c.pos <> c.lim then
+    parse_error "at %d: trailing garbage after value" c.pos;
+  v
 
 (** [of_string s] — parse one JSON value; trailing garbage is an error.
     Raises {!Parse_error}. *)
-let of_string (s : string) : t =
-  let c = { s; pos = 0 } in
-  let v = parse_value c in
-  skip_ws c;
-  if c.pos <> String.length s then
-    parse_error "at %d: trailing garbage after value" c.pos;
-  v
+let of_string (s : string) : t = parse { s; pos = 0; lim = String.length s }
+
+(** [of_bytes b len] — {!of_string} on the first [len] bytes of [b],
+    parsed in place (no copy of the input). [b] must not change while it
+    is parsed; the result shares no memory with it. *)
+let of_bytes (b : Bytes.t) (len : int) : t =
+  if len < 0 || len > Bytes.length b then invalid_arg "Json.of_bytes";
+  parse { s = Bytes.unsafe_to_string b; pos = 0; lim = len }

@@ -440,7 +440,7 @@ let answer_of_response ?(degraded : string option) ?(coalesced = false)
     (resp : Scaf.Response.t) : answer =
   let opts = resp.Scaf.Response.options in
   {
-    a_result = Fmt.str "%a" Scaf.Aresult.pp resp.Scaf.Response.result;
+    a_result = Scaf.Aresult.name resp.Scaf.Response.result;
     a_nodep = Scaf_pdg.Pdg.affordable_nodep resp;
     a_cost = Scaf.Response.Options.cheapest_cost opts;
     a_options = Scaf.Response.Options.count opts;

@@ -103,49 +103,97 @@ let rec write_all ?(deadline : float option) (fd : Unix.file_descr)
       ->
         Error Closed
 
+(** A connection's reusable frame buffers. Frames above 256 words would
+    otherwise be allocated straight into the major heap, several times
+    each (Buffer growth, [Buffer.contents], the framed copy on write; the
+    payload and its string copy on read). With buffers, a steady stream of
+    frames allocates no payload memory at all: the writer emits into [out]
+    and copies it once into [frame] behind the length prefix, the reader
+    fills [inb] and parses it in place ({!Json.of_bytes}). The write half
+    ([out], [frame]) and the read half ([prefix], [inb]) are disjoint, so
+    one thread may write while another reads; neither half is safe to
+    share between two writers or two readers. *)
+type buffers = {
+  out : Buffer.t;
+  mutable frame : Bytes.t;
+  prefix : Bytes.t;
+  mutable inb : Bytes.t;
+}
+
+let buffers () : buffers =
+  {
+    out = Buffer.create 256;
+    frame = Bytes.empty;
+    prefix = Bytes.create 4;
+    inb = Bytes.empty;
+  }
+
+(* A frame bigger than this (a whole workload listing, say) is served from
+   a buffer that is dropped afterwards, so one large reply does not pin
+   its size for the connection's lifetime. *)
+let keep_limit = 64 * 1024
+
+(* [b] if it holds [n] bytes, else a buffer that does: grown by doubling
+   up to [keep_limit], exact (and transient) above it. *)
+let sized (b : Bytes.t) (n : int) : Bytes.t =
+  if Bytes.length b >= n then b
+  else if n <= keep_limit then
+    Bytes.create (min keep_limit (max n (2 * Bytes.length b)))
+  else Bytes.create n
+
+let keep (b : Bytes.t) (previous : Bytes.t) : Bytes.t =
+  if Bytes.length b <= keep_limit then b else previous
+
 (** [write_frame fd json] — frame and send one JSON value atomically from
     the caller's point of view: the whole frame is assembled first, then
     written to completion or [Error Closed]. [write_budget] (seconds)
     bounds the wall-clock of the whole write when the fd carries a send
     timeout ([SO_SNDTIMEO]) — the per-connection write deadline that keeps
-    a slow consumer from parking the daemon's writer forever. *)
-let write_frame ?(write_budget : float option) (fd : Unix.file_descr)
-    (j : Json.t) : (unit, error) result =
-  let payload = Json.to_string j in
-  let n = String.length payload in
-  let frame = Bytes.create (4 + n) in
+    a slow consumer from parking the daemon's writer forever. [buf]
+    supplies the connection's reusable buffers (fresh ones otherwise). *)
+let write_frame ?(write_budget : float option) ?(buf : buffers option)
+    (fd : Unix.file_descr) (j : Json.t) : (unit, error) result =
+  let bf = match buf with Some b -> b | None -> buffers () in
+  Buffer.clear bf.out;
+  Json.emit bf.out j;
+  let n = Buffer.length bf.out in
+  let frame = sized bf.frame (4 + n) in
   Bytes.set frame 0 (Char.chr ((n lsr 24) land 0xff));
   Bytes.set frame 1 (Char.chr ((n lsr 16) land 0xff));
   Bytes.set frame 2 (Char.chr ((n lsr 8) land 0xff));
   Bytes.set frame 3 (Char.chr (n land 0xff));
-  Bytes.blit_string payload 0 frame 4 n;
+  Buffer.blit bf.out 0 frame 4 n;
+  bf.frame <- keep frame bf.frame;
+  if n > keep_limit then Buffer.reset bf.out;
   let deadline = Option.map (fun b -> now () +. b) write_budget in
   write_all ?deadline fd frame 0 (4 + n)
 
 (** [read_frame fd] — read one frame. [max_len] bounds the declared
     payload; [frame_budget] (seconds) bounds the wall-clock from a frame's
     first byte to its last. Set a receive timeout ([SO_RCVTIMEO]) on [fd]
-    to get [Idle] ticks while no frame has started. *)
-let read_frame ?(max_len = default_max_len) ?frame_budget
+    to get [Idle] ticks while no frame has started. [buf] supplies the
+    connection's reusable buffers (fresh ones otherwise). *)
+let read_frame ?(max_len = default_max_len) ?frame_budget ?(buf : buffers option)
     (fd : Unix.file_descr) : (Json.t, error) result =
+  let bf = match buf with Some b -> b | None -> buffers () in
   let deadline = ref None in
-  let prefix = Bytes.create 4 in
   match
-    really_read fd prefix 4 ~first_byte_idle:true ~deadline ~frame_budget
+    really_read fd bf.prefix 4 ~first_byte_idle:true ~deadline ~frame_budget
   with
   | Error e -> Error e
   | Ok () -> (
-      let b i = Char.code (Bytes.get prefix i) in
+      let b i = Char.code (Bytes.get bf.prefix i) in
       let n = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
       if n > max_len then Error (Oversized n)
       else
-        let payload = Bytes.create n in
+        let payload = sized bf.inb n in
+        bf.inb <- keep payload bf.inb;
         match
           really_read fd payload n ~first_byte_idle:false ~deadline
             ~frame_budget
         with
         | Error e -> Error e
         | Ok () -> (
-            match Json.of_string (Bytes.to_string payload) with
+            match Json.of_bytes payload n with
             | j -> Ok j
             | exception Json.Parse_error msg -> Error (Bad_json msg)))

@@ -48,6 +48,89 @@ let test_json_malformed () =
       | exception Json.Parse_error _ -> ())
     [ "{nope"; "[1,]"; "\"unterminated"; "{\"a\":1} trailing"; ""; "nul" ]
 
+(* Every parse error message is part of the wire contract (a [bad_request]
+   reply carries it verbatim), so the table pins them exactly. *)
+let test_json_error_messages () =
+  List.iter
+    (fun (input, msg) ->
+      match Json.of_string input with
+      | _ -> Alcotest.failf "accepted malformed %S" input
+      | exception Json.Parse_error m -> checks (Printf.sprintf "%S" input) msg m)
+    [
+      ("{nope", "at 1: expected '\"', got 'n'");
+      ("[1,]", "at 3: unexpected ']'");
+      ("\"unterminated", "unterminated string");
+      ("{\"a\":1} trailing", "at 8: trailing garbage after value");
+      ("", "unexpected end of input");
+      ("nul", "at 0: bad literal");
+      ("   ", "unexpected end of input");
+      ("tru", "at 0: bad literal");
+      ("fals", "at 0: bad literal");
+      ("nulx", "at 0: bad literal");
+      ("[1 2]", "at 3: expected ',' or ']'");
+      ("{\"a\" 1}", "at 5: expected ':', got '1'");
+      ("{\"a\":1,}", "at 7: expected '\"', got '}'");
+      ("{\"a\":1 \"b\":2}", "at 7: expected ',' or '}'");
+      ("\"\\x\"", "at 2: bad escape");
+      ("\"\\u12g4\"", "at 5: bad \\u escape");
+      ("\"\\u12", "unterminated \\u escape");
+      ("-", "at 0: bad number \"-\"");
+      ("1.2.3", "at 0: bad number \"1.2.3\"");
+      ("1e", "at 0: bad number \"1e\"");
+      ("--1", "at 0: bad number \"--1\"");
+      ("+1", "at 0: unexpected '+'");
+      ("@", "at 0: unexpected '@'");
+      ("[\"a\",]", "at 5: unexpected ']'");
+      ("{1:2}", "at 1: expected '\"', got '1'");
+      ("{\"a\":}", "at 5: unexpected '}'");
+      ("\"abc\\", "at 5: bad escape");
+      ("[1,2", "at 4: expected ',' or ']'");
+      ("{\"a\":1", "at 6: expected ',' or '}'");
+      ("[true false]", "at 6: expected ',' or ']'");
+      ("1-2", "at 0: bad number \"1-2\"");
+      ("{\"a\"", "at 4: expected ':', got end of input");
+      ("{", "at 1: expected '\"', got end of input");
+      ("[", "unexpected end of input");
+      ("{\"a\":", "unexpected end of input");
+      ("\"\\", "at 2: bad escape")
+    ]
+
+let json_gen : Json.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (0 -- 10) in
+  let scalar =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) int;
+        map Json.float float;
+        map (fun s -> Json.String s) str;
+      ]
+  in
+  sized
+    (fix (fun self n ->
+         if n <= 1 then scalar
+         else
+           frequency
+             [
+               (2, scalar);
+               (1, map (fun l -> Json.List l) (list_size (0 -- 4) (self (n / 4))));
+               ( 1,
+                 map (fun l -> Json.Obj l)
+                   (list_size (0 -- 4) (pair str (self (n / 4)))) );
+             ]))
+
+(* emit then parse is the identity, from a string and in place from a
+   longer buffer (the wire's reusable read buffer) *)
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"emit then parse is the identity" ~count:500
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun j ->
+      let s = Json.to_string j in
+      let buf = Bytes.of_string (s ^ "}garbage") in
+      Json.of_string s = j && Json.of_bytes buf (String.length s) = j)
+
 (* -- Wire ----------------------------------------------------------- *)
 
 let with_socketpair f =
@@ -67,6 +150,22 @@ let test_wire_roundtrip () =
       match Wire.read_frame b with
       | Ok j' -> checkb "frame round-trips" true (j = j')
       | Error e -> Alcotest.failf "read: %s" (Wire.error_to_string e))
+
+(* One pair of buffers across frames that grow past the kept size and
+   shrink again: each frame must read back exactly as written. *)
+let test_wire_reused_buffers () =
+  with_socketpair (fun a b ->
+      let wbuf = Wire.buffers () and rbuf = Wire.buffers () in
+      List.iter
+        (fun n ->
+          let j = Json.Obj [ ("pad", Json.String (String.make n 'x')) ] in
+          (match Wire.write_frame ~buf:wbuf a j with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "write: %s" (Wire.error_to_string e));
+          match Wire.read_frame ~buf:rbuf b with
+          | Ok j' -> checkb (Printf.sprintf "%d-byte frame" n) true (j = j')
+          | Error e -> Alcotest.failf "read: %s" (Wire.error_to_string e))
+        [ 10; 3000; 70_000; 5; 40_000; 0 ])
 
 let test_wire_truncated_prefix () =
   (* peer dies after two bytes of the length prefix *)
@@ -415,6 +514,80 @@ let test_engine_deadline_expired () =
   let a = Engine.answer w ~degrade:Admission.Full ~deadline:(Some expired) b q in
   checkb "tagged deadline" true (a.Protocol.a_degraded = Some "deadline")
 
+(* -- Allocation on the warm path ------------------------------------- *)
+
+(* Minor words allocated by [f ()], net of the measurement's own cost.
+   Allocation counts are deterministic, so these bounds cannot flake. *)
+let minor_words_of (f : unit -> unit) : float =
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  let overhead = w1 -. w0 in
+  let w0 = Gc.minor_words () in
+  f ();
+  let w1 = Gc.minor_words () in
+  w1 -. w0 -. overhead
+
+let workload_queries (b : Engine.bench) : Protocol.wire_query list =
+  match Json.mem_or "loops" ~default:Json.Null (Engine.queries_json b) with
+  | Json.List loops ->
+      List.concat_map
+        (fun l ->
+          match Json.mem_or "queries" ~default:Json.Null l with
+          | Json.List qs -> List.map Protocol.query_of_json qs
+          | _ -> [])
+        loops
+  | _ -> []
+
+let test_warm_answer_allocation () =
+  let eng = Engine.create ~benchmarks:(Scaf_suite.Registry.all ()) () in
+  let w = Engine.worker eng in
+  let work =
+    List.filter_map
+      (fun name ->
+        Option.map
+          (fun b -> (b, workload_queries b))
+          (Engine.find_bench eng name))
+      (Engine.bench_names eng)
+  in
+  let pass () =
+    List.iter
+      (fun (b, qs) ->
+        List.iter
+          (fun q ->
+            ignore
+              (Engine.answer w ~degrade:Admission.Full ~deadline:None b q
+                : Protocol.answer))
+          qs)
+      work
+  in
+  pass () (* fill the caches *);
+  let n = List.fold_left (fun acc (_, qs) -> acc + List.length qs) 0 work in
+  let per_answer = minor_words_of pass /. float_of_int n in
+  checkb
+    (Printf.sprintf "warm answer allocates %.0f words (bound 400) over %d"
+       per_answer n)
+    true
+    (n > 0 && per_answer <= 400.0)
+
+let test_collector_depth0_hit_allocation () =
+  let c = Scaf_incremental.Collector.create ~funcs_of:(fun _ -> []) in
+  let ev =
+    Scaf.Depsink.Hit
+      {
+        depth = 0;
+        q =
+          Scaf.Query.modref_instrs ~loop:"main:L" ~tr:Scaf.Query.Before 1 2;
+      }
+  in
+  let words =
+    minor_words_of (fun () ->
+        for _ = 1 to 1000 do
+          Scaf_incremental.Collector.on_event c ev
+        done)
+  in
+  checkb (Printf.sprintf "depth-0 hit allocates %.0f words" words) true
+    (words = 0.0)
+
 (* -- Daemon e2e ----------------------------------------------------- *)
 
 let scratch_sock () =
@@ -667,11 +840,109 @@ let test_outbox_cancel_stops_producer () =
       checkb "overrun is retryable" true e.Protocol.retryable
   | _ -> Alcotest.fail "aborted outbox must surface the error"
 
+(* Two threads hand 64 items through a cap-8 outbox. Grace and max_wait
+   are far beyond the hand-off's milliseconds, so every wait must end by a
+   wakeup; a lost one shows as a wait that ended by its timeout (after
+   10 s), never as a flaky pass. *)
+let test_outbox_handoff_no_timeouts () =
+  let ob = Daemon.outbox_create ~cap:8 ~grace:10.0 in
+  let pushed = ref 0 in
+  let producer =
+    Thread.create
+      (fun () ->
+        for i = 0 to 63 do
+          match Daemon.outbox_push ob (i, stub_answer) with
+          | `Ok _ -> incr pushed
+          | `Overrun | `Stopped -> ()
+        done;
+        Daemon.outbox_finish ob;
+        Daemon.outbox_release ob)
+      ()
+  in
+  let rec consume acc =
+    match Daemon.outbox_take ob ~max_wait:10.0 with
+    | `Item (i, _) -> consume (i :: acc)
+    | `Done -> List.rev acc
+    | _ -> Alcotest.fail "take ended without an item or Done"
+  in
+  let got = consume [] in
+  Thread.join producer;
+  checki "every push accepted" 64 !pushed;
+  Alcotest.(check (list int)) "order kept" (List.init 64 Fun.id) got;
+  checki "no wait ended by its timeout" 0 (Daemon.outbox_timeouts ob);
+  Daemon.outbox_release ob
+
 (* -- Daemon: TCP transport, streaming, version gate, durability ----- *)
 
 let daemon_cfg ?tcp ?state_dir ?(benchmarks = []) sock =
   let base = Daemon.default_config ~socket_path:sock () in
   { base with Daemon.benchmarks; tcp; state_dir }
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* 200 in-process streams — completed, cancelled after the first item,
+   and consumers that vanish after the first item — must leave no fd
+   behind once the daemon has stopped: every outbox's wake pipe is closed
+   by whichever of its producer and consumer lets go last. *)
+let test_outbox_fds_released () =
+  let sock = scratch_sock () in
+  let b = Scaf_suite.Registry.find bench_name |> Option.get in
+  let before = open_fds () in
+  let d = Daemon.start (daemon_cfg ~benchmarks:[ b ] sock) in
+  let opened =
+    Fun.protect
+      ~finally:(fun () -> Daemon.stop d)
+      (fun () ->
+        let c, _ = Client.connect ~name:"fd-test" sock in
+        Fun.protect
+          ~finally:(fun () -> Client.close c)
+          (fun () ->
+            let qs =
+              List.concat_map
+                (fun (loop, _, wqs) ->
+                  List.map (fun q -> { q with Protocol.wloop = loop }) wqs)
+                (Client.queries c ~bench:bench_name)
+              |> List.filteri (fun i _ -> i < 12)
+            in
+            let vanish () =
+              let fd = Addr.connect (Addr.Unix_path sock) in
+              Fun.protect
+                ~finally:(fun () -> Unix.close fd)
+                (fun () ->
+                  let req =
+                    Protocol.Ask_many
+                      { bench = bench_name; qs; deadline_ms = None; stream = true }
+                  in
+                  ignore (Wire.write_frame fd (Protocol.request_to_json req));
+                  let rec to_first_item () =
+                    match Wire.read_frame fd with
+                    | Ok j -> (
+                        match Protocol.stream_frame_of_json j with
+                        | Protocol.Sitem _ -> ()
+                        | Protocol.Sheartbeat -> to_first_item ()
+                        | _ -> Alcotest.fail "stream ended before an item")
+                    | Error e -> Alcotest.fail (Wire.error_to_string e)
+                  in
+                  to_first_item ())
+            in
+            for i = 1 to 200 do
+              match i mod 5 with
+              | 0 -> vanish ()
+              | 1 ->
+                  let _, summary =
+                    Client.ask_stream ~on_item:(fun _ _ -> `Cancel) c
+                      ~bench:bench_name qs
+                  in
+                  ignore summary
+              | _ ->
+                  let answers, _ = Client.ask_stream c ~bench:bench_name qs in
+                  checki "stream complete" (List.length qs) (List.length answers)
+            done;
+            let transport = Json.mem_or "transport" ~default:Json.Null (Client.stats c) in
+            Json.int_member "streams_opened" transport))
+  in
+  checki "every stream opened" 200 opened;
+  checki "open fds back where they started" before (open_fds ())
 
 let test_daemon_tcp_transport () =
   let sock = scratch_sock () in
@@ -872,10 +1143,14 @@ let suite =
         Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
         Alcotest.test_case "float bit-exact" `Quick test_json_float_bit_exact;
         Alcotest.test_case "malformed rejected" `Quick test_json_malformed;
+        Alcotest.test_case "error messages" `Quick test_json_error_messages;
+        QCheck_alcotest.to_alcotest prop_json_roundtrip;
       ] );
     ( "server-wire",
       [
         Alcotest.test_case "frame round-trip" `Quick test_wire_roundtrip;
+        Alcotest.test_case "reused buffers round-trip" `Quick
+          test_wire_reused_buffers;
         Alcotest.test_case "truncated prefix" `Quick test_wire_truncated_prefix;
         Alcotest.test_case "truncated payload" `Quick
           test_wire_truncated_payload;
@@ -910,6 +1185,10 @@ let suite =
           test_outbox_backpressure;
         Alcotest.test_case "cancel stops the producer" `Quick
           test_outbox_cancel_stops_producer;
+        Alcotest.test_case "hand-off wakes, never times out" `Quick
+          test_outbox_handoff_no_timeouts;
+        Alcotest.test_case "200 streams release every fd" `Quick
+          test_outbox_fds_released;
       ] );
     ( "server-admission",
       [
@@ -930,6 +1209,10 @@ let suite =
           test_engine_shed_cheap;
         Alcotest.test_case "expired deadline degrades" `Quick
           test_engine_deadline_expired;
+        Alcotest.test_case "warm answer allocation bound" `Quick
+          test_warm_answer_allocation;
+        Alcotest.test_case "depth-0 collector hit allocates nothing" `Quick
+          test_collector_depth0_hit_allocation;
       ] );
     ( "server-daemon",
       [
