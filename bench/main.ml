@@ -357,6 +357,7 @@ let substrate_tests =
   let text = Scaf_ir.Irmod.to_string big in
   let f = Option.get (Scaf_ir.Irmod.find_func suite_bench "arc_run") in
   let cfg = Scaf_cfg.Cfg.of_func f in
+  let motivating_ctx = Scaf_cfg.Progctx.build motivating in
   [
     Test.make ~name:"substrate/parse-429.mcf"
       (Staged.stage (fun () -> ignore (Scaf_ir.Parser.parse_exn_msg text)));
@@ -371,6 +372,11 @@ let substrate_tests =
     Test.make ~name:"substrate/profile-motivating"
       (Staged.stage (fun () ->
            ignore (Scaf_profile.Profiler.profile_module motivating)));
+    Test.make ~name:"substrate/oracle-observe-motivating"
+      (Staged.stage (fun () ->
+           ignore
+             (Scaf_audit.Oracle.observe motivating_ctx ~train:[ [||] ]
+                ~ref_input:[||])));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -1,8 +1,9 @@
 (** Pass 2 — the dynamic-dependence oracle.
 
-    The benchmark is executed under the interpreter with the
-    {!Scaf_interp.Depwatch} instrumentation attached (driven by the loop
-    tracker), once per training input and once on the reference input.
+    The benchmark is executed under the interpreter with the profiler's
+    dependence recorder ({!Scaf_profile.Memdep_profile}) attached, driven
+    by the loop tracker, once per training input and once on the reference
+    input.
     What actually happened is ground truth:
 
     - an *assertion-free* NoDep/NoAlias answer claims every execution; one
@@ -78,41 +79,46 @@ let tally (cards : cards) (name : string) (r : Response.t) : card =
 (* Observation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Hooks that drive a tracker from interpreter events. *)
-let tracker_hooks (tracker : Tracker.t) : Hooks.t =
-  {
-    Hooks.nop with
-    Hooks.on_edge =
-      (fun ~src_term:_ ~src ~dst ~func ->
-        Tracker.edge tracker ~func:func.Scaf_ir.Func.name ~src ~dst);
-    on_call_enter =
-      (fun f ~ctx:_ -> Tracker.call_enter tracker f.Scaf_ir.Func.name);
-    on_call_exit = (fun _ -> Tracker.call_exit tracker);
-  }
-
-(** Run the program once per input with dependence watchers attached.
-    Returns [(train, any)]: the dependences observed on the training
-    inputs only, and on training plus reference inputs. *)
+(** Run the program once per input under the dependence recorder (the
+    profiler's, driven by the loop tracker). Returns [(train, any)]: the
+    dependences observed on the training inputs only, and on training plus
+    reference inputs. The training runs are recorded once: each run starts
+    from an empty shadow, so [any] is exactly a copy of [train] plus the
+    reference run. *)
 let observe ?(fuel = 50_000_000) (prog : Progctx.t)
     ~(train : int64 array list) ~(ref_input : int64 array) :
-    Depwatch.t * Depwatch.t =
-  let wt = Depwatch.create () and wa = Depwatch.create () in
-  let run (watchers : Depwatch.t list) (input : int64 array) =
-    List.iter Depwatch.reset_run watchers;
+    Memdep_profile.t * Memdep_profile.t =
+  let run (into : Memdep_profile.t) (input : int64 array) =
     let tracker =
       Tracker.create ~loops_of:(fun fname -> Progctx.loops_of prog fname)
     in
-    let snapshot () = Tracker.snapshot tracker in
+    let r = Memdep_profile.recorder into in
     let hooks =
-      Hooks.combine_all
-        (tracker_hooks tracker
-        :: List.map (fun w -> Depwatch.hooks w ~snapshot) watchers)
+      {
+        Hooks.nop with
+        Hooks.on_edge =
+          (fun ~src_term:_ ~src:_ ~dst ~func ->
+            Tracker.edge tracker ~func:func.Scaf_ir.Func.name ~dst);
+        on_call_enter =
+          (fun f ~ctx:_ -> Tracker.call_enter tracker f.Scaf_ir.Func.name);
+        on_call_exit = (fun _ -> Tracker.call_exit tracker);
+        on_load =
+          (fun ~instr ~addr ~size ~value:_ ~obj:_ ~ctx:_ ->
+            Memdep_profile.record_load r ~instr:instr.Scaf_ir.Instr.id ~addr
+              ~size ~snap:(Tracker.snapshot tracker));
+        on_store =
+          (fun ~instr ~addr ~size ~value:_ ~obj:_ ~ctx:_ ->
+            Memdep_profile.record_store r ~instr:instr.Scaf_ir.Instr.id ~addr
+              ~size ~snap:(Tracker.snapshot tracker));
+      }
     in
     let (_ : Eval.result) = Eval.run ~hooks ~fuel ~input prog.Progctx.m in
     Tracker.finish tracker
   in
-  List.iter (run [ wt; wa ]) train;
-  run [ wa ] ref_input;
+  let wt = Memdep_profile.create () in
+  List.iter (run wt) train;
+  let wa = Memdep_profile.copy wt in
+  run wa ref_input;
   (wt, wa)
 
 (* ------------------------------------------------------------------ *)
@@ -138,8 +144,8 @@ let value_predicted (r : Response.t) : bool =
    [lid]. [evidence] lists the observed-dependence patterns (src, dst,
    cross) any one of which contradicts the claim — alias claims deny both
    directions, dependence claims exactly one. *)
-let grade ~bench ~lid ~(train : Depwatch.t) ~(any : Depwatch.t) ~witness
-    ~explain ~(evidence : (int * int * bool) list) ~(claim : string)
+let grade ~bench ~lid ~(train : Memdep_profile.t) ~(any : Memdep_profile.t)
+    ~witness ~explain ~(evidence : (int * int * bool) list) ~(claim : string)
     (name : string) (r : Response.t) (card : card) (q : Query.t) :
     Finding.t option =
   let disproves =
@@ -148,9 +154,9 @@ let grade ~bench ~lid ~(train : Depwatch.t) ~(any : Depwatch.t) ~witness
     | Query.Alias _, Aresult.RAlias Aresult.NoAlias -> true
     | _ -> false
   in
-  let manifested (w : Depwatch.t) =
+  let manifested (w : Memdep_profile.t) =
     List.find_opt
-      (fun (src, dst, cross) -> Depwatch.observed w ~lid ~src ~dst ~cross)
+      (fun (src, dst, cross) -> Memdep_profile.observed w ~lid ~src ~dst ~cross)
       evidence
   in
   let finding ~phrase (src, dst, cross) =
@@ -183,8 +189,8 @@ let grade ~bench ~lid ~(train : Depwatch.t) ~(any : Depwatch.t) ~witness
 (** Grade every module's individual answers over one hot loop's workload
     against the observed dependences, tallying audit cards along the way. *)
 let check_loop (orch : Orchestrator.t) (prog : Progctx.t) ~(bench : string)
-    ~(lid : string) ~(train : Depwatch.t) ~(any : Depwatch.t) (cards : cards)
-    : Finding.t list =
+    ~(lid : string) ~(train : Memdep_profile.t) ~(any : Memdep_profile.t)
+    (cards : cards) : Finding.t list =
   let w = lazy (Witness.for_loop prog ~lid) in
   let witness () = Lazy.force w in
   let dep_work =

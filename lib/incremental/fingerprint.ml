@@ -14,10 +14,10 @@
     owning the instruction; loop-scoped facts (lifetime read/write sets,
     allocation sites, violations, memory dependences) through the loop's
     function. Transient collection state (lifetime [pending]/[live_oids],
-    memdep shadow memory) and the time profile are excluded: the former is
-    dead weight after profiling finishes, and wall-clock timings differ
-    between runs of identical programs — fingerprinting them would turn
-    every edit into a global invalidation. *)
+    emptied after every profiling run) and the time profile are excluded:
+    the former is dead weight after profiling finishes, and wall-clock
+    timings differ between runs of identical programs — fingerprinting them
+    would turn every edit into a global invalidation. *)
 
 open Scaf_profile
 
@@ -114,18 +114,31 @@ let of_profiles (p : Profiles.t) : t =
       add acc (func_of_lid lid)
         (Printf.sprintf "violated %s %s" lid (pp_site site)))
     p.Profiles.lifetime.Lifetime_profile.violated;
-  (* memory-dependence profile (shadow memory excluded) *)
-  Hashtbl.iter
-    (fun lid tbl ->
-      Hashtbl.iter
-        (fun (src, dst, cross) n ->
-          add acc (func_of_lid lid)
-            (Printf.sprintf "memdep %s %d->%d %b %d" lid src dst cross n))
-        tbl)
-    p.Profiles.memdep.Memdep_profile.deps;
+  (* memory-dependence profile *)
+  Memdep_profile.iter
+    (fun lid (src, dst, cross) n ->
+      add acc (func_of_lid lid)
+        (Printf.sprintf "memdep %s %d->%d %b %d" lid src dst cross n))
+    p.Profiles.memdep;
   (* canonicalize *)
   Hashtbl.filter_map_inplace (fun _ facts -> Some (List.sort compare facts)) acc;
   acc
+
+(** The fingerprint of a program at its current epoch, kept beside the
+    program's handle: an edit then renders only the new epoch's profiles,
+    the previous epoch's being the ones kept. *)
+type memo = { mutable last : (int * t) option }
+
+let memo () : memo = { last = None }
+
+let current (m : memo) (p : Scaf_suite.Program.t) : t =
+  let epoch = Scaf_suite.Program.epoch p in
+  match m.last with
+  | Some (e, fp) when e = epoch -> fp
+  | _ ->
+      let fp = of_profiles (Scaf_suite.Program.profiles p) in
+      m.last <- Some (epoch, fp);
+      fp
 
 (** Functions whose fact set differs between the two fingerprints
     (including functions present in only one). *)

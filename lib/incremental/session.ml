@@ -33,6 +33,7 @@ type t = {
   mutable modules : Module_api.t list;
   mutable orch : Orchestrator.t;
   counters : counters;
+  fingerprint : Fingerprint.memo;  (** of [program]'s current profiles *)
 }
 
 let modules_of (p : Program.t) : Module_api.t list =
@@ -78,6 +79,7 @@ let create (program : Program.t) : t =
     modules;
     orch = make_orch program cache frontend modules;
     counters = { asked = 0; recomputed = 0 };
+    fingerprint = Fingerprint.memo ();
   }
 
 let program (t : t) : Program.t = t.program
@@ -117,11 +119,11 @@ let workload (t : t) : Query.t list =
 let edit (t : t) (ops : Edit.op list) :
     (Edit.diff * Invalidate.stats, Scaf_lint.Diagnostic.t list) result =
   let old_m = Program.program t.program in
-  let old_fp = Fingerprint.of_profiles (Program.profiles t.program) in
+  let old_fp = Fingerprint.current t.fingerprint t.program in
   match Edit.apply_all t.program ops with
   | Error e -> Error e
   | Ok diff ->
-      let new_fp = Fingerprint.of_profiles (Program.profiles t.program) in
+      let new_fp = Fingerprint.current t.fingerprint t.program in
       let profile_dirty = Fingerprint.changed ~before:old_fp ~after:new_fp in
       let components =
         Components.build [ old_m; Program.program t.program ]

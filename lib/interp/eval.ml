@@ -296,18 +296,16 @@ let rec exec_func (st : state) (f : Func.t) (args : int64 list)
         set o.Memory.base
     | Instr.Load { ptr; size } ->
         let addr = value_of st env ptr in
-        let v = Memory.load st.mem addr size in
-        st.hooks.Hooks.on_load ~instr:i ~addr ~size ~value:v
-          ~obj:(Option.map fst (Memory.find_addr_opt st.mem addr))
-          ~ctx;
+        let o, off = Memory.access st.mem "load" addr size in
+        let v = Memory.read o off size in
+        st.hooks.Hooks.on_load ~instr:i ~addr ~size ~value:v ~obj:o ~ctx;
         set v
     | Instr.Store { ptr; value; size } ->
         let addr = value_of st env ptr in
         let v = value_of st env value in
-        Memory.store st.mem addr size v;
-        st.hooks.Hooks.on_store ~instr:i ~addr ~size ~value:v
-          ~obj:(Option.map fst (Memory.find_addr_opt st.mem addr))
-          ~ctx
+        let o, off = Memory.access st.mem "store" addr size in
+        Memory.write st.mem o off size v;
+        st.hooks.Hooks.on_store ~instr:i ~addr ~size ~value:v ~obj:o ~ctx
     | Instr.Gep { base; offset } ->
         let a = Int64.add (value_of st env base) (value_of st env offset) in
         st.hooks.Hooks.on_ptr ~instr:i ~addr:a

@@ -17,15 +17,16 @@ type t = {
     addr:int64 ->
     size:int ->
     value:int64 ->
-    obj:Memory.obj option ->
+    obj:Memory.obj ->
     ctx:int list ->
     unit;
+      (** [obj] is the live object holding the loaded bytes *)
   on_store :
     instr:Instr.t ->
     addr:int64 ->
     size:int ->
     value:int64 ->
-    obj:Memory.obj option ->
+    obj:Memory.obj ->
     ctx:int list ->
     unit;
   on_alloc : obj:Memory.obj -> unit;
@@ -52,35 +53,3 @@ let nop : t =
     on_call_enter = (fun _ ~ctx:_ -> ());
     on_call_exit = (fun _ -> ());
   }
-
-(** [combine a b] runs [a]'s callback then [b]'s for every event. *)
-let combine (a : t) (b : t) : t =
-  {
-    on_block = (fun f blk -> a.on_block f blk; b.on_block f blk);
-    on_edge =
-      (fun ~src_term ~src ~dst ~func ->
-        a.on_edge ~src_term ~src ~dst ~func;
-        b.on_edge ~src_term ~src ~dst ~func);
-    on_load =
-      (fun ~instr ~addr ~size ~value ~obj ~ctx ->
-        a.on_load ~instr ~addr ~size ~value ~obj ~ctx;
-        b.on_load ~instr ~addr ~size ~value ~obj ~ctx);
-    on_store =
-      (fun ~instr ~addr ~size ~value ~obj ~ctx ->
-        a.on_store ~instr ~addr ~size ~value ~obj ~ctx;
-        b.on_store ~instr ~addr ~size ~value ~obj ~ctx);
-    on_alloc = (fun ~obj -> a.on_alloc ~obj; b.on_alloc ~obj);
-    on_free = (fun ~obj -> a.on_free ~obj; b.on_free ~obj);
-    on_instr = (fun i -> a.on_instr i; b.on_instr i);
-    on_ptr =
-      (fun ~instr ~addr ~obj ~ctx ->
-        a.on_ptr ~instr ~addr ~obj ~ctx;
-        b.on_ptr ~instr ~addr ~obj ~ctx);
-    on_call_enter =
-      (fun f ~ctx ->
-        a.on_call_enter f ~ctx;
-        b.on_call_enter f ~ctx);
-    on_call_exit = (fun f -> a.on_call_exit f; b.on_call_exit f);
-  }
-
-let combine_all (hs : t list) : t = List.fold_left combine nop hs

@@ -180,12 +180,18 @@ let free (t : t) (a : int64) : obj =
   o.live <- false;
   o
 
-(** [load t a size] reads [size] bytes little-endian as a sign-agnostic
-    integer (zero-extended). *)
-let load (t : t) (a : int64) (size : int) : int64 =
+(** [access t op a size] resolves the [size] bytes at [a] to their object
+    and offset, trapping (in the words of [op]) unless they lie in one
+    live object. *)
+let access (t : t) (op : string) (a : int64) (size : int) : obj * int =
   let o, off = find_addr t a in
   if off + size > o.size then
-    trap "load of %d bytes at 0x%Lx overruns object %d" size a o.oid;
+    trap "%s of %d bytes at 0x%Lx overruns object %d" op size a o.oid;
+  (o, off)
+
+(** [read o off size] reads [size] bytes little-endian as a sign-agnostic
+    integer (zero-extended). *)
+let read (o : obj) (off : int) (size : int) : int64 =
   let v = ref 0L in
   for k = size - 1 downto 0 do
     v := Int64.logor (Int64.shift_left !v 8)
@@ -193,10 +199,7 @@ let load (t : t) (a : int64) (size : int) : int64 =
   done;
   !v
 
-let store (t : t) (a : int64) (size : int) (value : int64) : unit =
-  let o, off = find_addr t a in
-  if off + size > o.size then
-    trap "store of %d bytes at 0x%Lx overruns object %d" size a o.oid;
+let write (t : t) (o : obj) (off : int) (size : int) (value : int64) : unit =
   journal_data t o;
   let v = ref value in
   for k = 0 to size - 1 do
@@ -204,6 +207,14 @@ let store (t : t) (a : int64) (size : int) (value : int64) : unit =
       (Char.chr (Int64.to_int (Int64.logand !v 0xFFL)));
     v := Int64.shift_right_logical !v 8
   done
+
+let load (t : t) (a : int64) (size : int) : int64 =
+  let o, off = access t "load" a size in
+  read o off size
+
+let store (t : t) (a : int64) (size : int) (value : int64) : unit =
+  let o, off = access t "store" a size in
+  write t o off size value
 
 let memcpy (t : t) ~(dst : int64) ~(src : int64) ~(len : int) : unit =
   for k = 0 to len - 1 do

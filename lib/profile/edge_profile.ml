@@ -39,13 +39,3 @@ let func_count (t : t) ~(func : string) : int =
     did. Blocks of never-profiled functions are *not* dead (no evidence). *)
 let spec_dead (t : t) ~(func : string) ~(label : string) : bool =
   func_count t ~func > 0 && block_count t ~func ~label = 0
-
-(** [bias t ~src_term ~dst] is the fraction of executions of the branch
-    that took [dst] (1.0 when the branch never ran). *)
-let bias (t : t) ~(src_term : int) ~(dsts : string list) ~(dst : string) :
-    float =
-  let total =
-    List.fold_left (fun acc d -> acc + edge_count t ~src_term ~dst:d) 0 dsts
-  in
-  if total = 0 then 1.0
-  else float_of_int (edge_count t ~src_term ~dst) /. float_of_int total

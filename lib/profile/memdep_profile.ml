@@ -1,94 +1,201 @@
-(** Loop-aware memory-dependence profiler (after Chen et al.):
+(** Loop-aware memory-dependence profile (after Chen et al.) and the
+    dependence recorder that fills it.
 
-    tracks, through a byte-granular shadow memory, which (store -> load),
-    (load -> store) and (store -> store) pairs actually manifested during
-    profiling, attributed per loop and split into intra-iteration and
-    cross-iteration (loop-carried) dependences.
+    The profile holds which (store -> load), (load -> store) and
+    (store -> store) pairs actually manifested during profiling, attributed
+    per loop and split into intra-iteration and cross-iteration
+    (loop-carried) dependences, each with the number of bytes that carried
+    it. Memory speculation — the expensive baseline SCAF competes with —
+    asserts the absence of every dependence *not* in this profile; the
+    audit's dynamic oracle grades static answers against the same tables.
 
-    Memory speculation — the expensive baseline SCAF competes with —
-    asserts the absence of every dependence *not* in this profile. *)
+    The {!recorder} keeps, per byte, the last writer and the most recent
+    access of every instruction that read the byte since. It works on whole
+    accesses: adjacent bytes whose writer and reader list are physically
+    the same form a run, and each dependence of the run is counted once,
+    by the run's length — exactly what a byte-at-a-time walk would count. *)
 
-type access = { ainstr : int; asnap : (string * int * int) list }
+module Itbl = Hashtbl.Make (Int)
 
-type byte_state = { mutable writer : access option; mutable readers : access list }
+(* (src instr, dst instr, cross-iteration?) packed into one int;
+   instruction ids are dense from 0, far below 2^30 *)
+let key ~src ~dst ~cross = (src lsl 32) lor (dst lsl 1) lor Bool.to_int cross
+let unkey k = (k lsr 32, (k lsr 1) land 0x7FFF_FFFF, k land 1 = 1)
 
-type t = {
-  shadow : (int64, byte_state) Hashtbl.t;
-  deps : (string, (int * int * bool, int) Hashtbl.t) Hashtbl.t;
-      (** lid -> (src instr, dst instr, cross-iteration?) -> count *)
-}
+type t = (string, int ref Itbl.t) Hashtbl.t
+(** lid -> packed (src, dst, cross) -> count *)
 
-let create () : t = { shadow = Hashtbl.create 4096; deps = Hashtbl.create 16 }
+let create () : t = Hashtbl.create 16
 
-let dep_tbl (t : t) lid =
-  match Hashtbl.find_opt t.deps lid with
-  | Some tbl -> tbl
-  | None ->
-      let tbl = Hashtbl.create 256 in
-      Hashtbl.replace t.deps lid tbl;
+let counts (t : t) lid =
+  match Hashtbl.find t lid with
+  | tbl -> tbl
+  | exception Not_found ->
+      let tbl = Itbl.create 64 in
+      Hashtbl.replace t lid tbl;
       tbl
 
-(* Record a dependence from [src] to [dst] for every loop invocation both
-   accesses executed in. *)
-let add_dep (t : t) (src : access) (dst : access) =
-  List.iter
-    (fun (lid, inv_d, iter_d) ->
-      match
-        List.find_opt (fun (l, _, _) -> String.equal l lid) src.asnap
-      with
-      | Some (_, inv_s, iter_s) when inv_s = inv_d ->
-          let cross = iter_d <> iter_s in
-          let tbl = dep_tbl t lid in
-          let key = (src.ainstr, dst.ainstr, cross) in
-          Hashtbl.replace tbl key
-            (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-      | _ -> ())
-    dst.asnap
-
-let byte_state (t : t) a =
-  match Hashtbl.find_opt t.shadow a with
-  | Some bs -> bs
-  | None ->
-      let bs = { writer = None; readers = [] } in
-      Hashtbl.replace t.shadow a bs;
-      bs
-
-let record_store (t : t) ~(instr : int) ~(addr : int64) ~(size : int)
-    ~(snap : (string * int * int) list) =
-  let acc = { ainstr = instr; asnap = snap } in
-  for k = 0 to size - 1 do
-    let bs = byte_state t (Int64.add addr (Int64.of_int k)) in
-    (* anti dependences: every reader since the last write *)
-    List.iter (fun r -> add_dep t r acc) bs.readers;
-    (* output dependence: the previous writer *)
-    (match bs.writer with Some w -> add_dep t w acc | None -> ());
-    bs.writer <- Some acc;
-    bs.readers <- []
-  done
-
-let record_load (t : t) ~(instr : int) ~(addr : int64) ~(size : int)
-    ~(snap : (string * int * int) list) =
-  let acc = { ainstr = instr; asnap = snap } in
-  for k = 0 to size - 1 do
-    let bs = byte_state t (Int64.add addr (Int64.of_int k)) in
-    (* flow dependence from the last writer *)
-    (match bs.writer with Some w -> add_dep t w acc | None -> ());
-    (* keep the most recent access per reading instruction (standard
-       last-reader practice in dependence profilers) *)
-    bs.readers <- acc :: List.filter (fun r -> r.ainstr <> instr) bs.readers
-  done
+(** An independent copy: recording into it leaves [t] untouched. *)
+let copy (t : t) : t =
+  let c = Hashtbl.copy t in
+  Hashtbl.filter_map_inplace
+    (fun _ tbl ->
+      Some (Itbl.of_seq (Seq.map (fun (k, n) -> (k, ref !n)) (Itbl.to_seq tbl))))
+    c;
+  c
 
 (** [observed t ~lid ~src ~dst ~cross] - did a dependence from [src] to
     [dst] (cross- or intra-iteration) manifest during profiling of loop
     [lid]? *)
 let observed (t : t) ~(lid : string) ~(src : int) ~(dst : int) ~(cross : bool)
     : bool =
-  match Hashtbl.find_opt t.deps lid with
-  | Some tbl -> Hashtbl.mem tbl (src, dst, cross)
+  match Hashtbl.find_opt t lid with
+  | Some tbl -> Itbl.mem tbl (key ~src ~dst ~cross)
   | None -> false
 
-(** All observed dependences of a loop. *)
+(** [iter f t] calls [f lid (src, dst, cross) count] on every observed
+    dependence, in no particular order. *)
+let iter (f : string -> int * int * bool -> int -> unit) (t : t) : unit =
+  Hashtbl.iter (fun lid tbl -> Itbl.iter (fun k n -> f lid (unkey k) !n) tbl) t
+
+(** All observed dependences of a loop, sorted. *)
 let all (t : t) ~(lid : string) : (int * int * bool) list =
-  match Hashtbl.find_opt t.deps lid with
-  | Some tbl -> Hashtbl.fold (fun k _ acc -> k :: acc) tbl []
+  match Hashtbl.find_opt t lid with
+  | Some tbl ->
+      Itbl.fold (fun k _ acc -> unkey k :: acc) tbl [] |> List.sort compare
   | None -> []
+
+(* ------------------------------------------------------------------ *)
+(* Recorder                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* One active loop scope of an access, with the counts table of its loop
+   resolved. [self] is what a dependence between two accesses of this very
+   snapshot contributes to this scope: -1 nothing, 0 intra-iteration,
+   1 cross-iteration (see {!add_dep}). *)
+type scope = {
+  lid : string;
+  inv : int;
+  iter : int;
+  tbl : int ref Itbl.t;
+  self : int;
+}
+
+type access = { instr : int; scopes : scope list }
+
+(* the writer of a byte nothing has written *)
+let no_access = { instr = -1; scopes = [] }
+
+(* 16 bytes of shadow: each byte's last writer and its readers since,
+   at most one (the latest) access per reading instruction, newest first *)
+type page = { writer : access array; readers : access list array }
+
+type recorder = {
+  into : t;
+  pages : page Itbl.t;  (** address lsr 4 -> page *)
+  mutable last_snap : (string * int * int) list;
+  mutable last_scopes : scope list;
+}
+
+(** A recorder adding into [into]. Its shadow is keyed by address — the
+    interpreter reuses addresses between runs, so use one recorder per
+    run. *)
+let recorder (into : t) : recorder =
+  { into; pages = Itbl.create 256; last_snap = []; last_scopes = [] }
+
+let page (r : recorder) (no : int) : page =
+  match Itbl.find r.pages no with
+  | pg -> pg
+  | exception Not_found ->
+      let pg = { writer = Array.make 16 no_access; readers = Array.make 16 [] } in
+      Itbl.replace r.pages no pg;
+      pg
+
+(* The tracker hands out the same snapshot until its loop state changes,
+   so resolving the last one again is one physical comparison. *)
+let scopes (r : recorder) (snap : (string * int * int) list) : scope list =
+  if snap == r.last_snap then r.last_scopes
+  else begin
+    let self (lid, inv, iter) =
+      match List.find (fun (l, _, _) -> String.equal l lid) snap with
+      | _, inv_s, iter_s when inv_s = inv -> Bool.to_int (iter <> iter_s)
+      | _ -> -1
+    in
+    let s =
+      List.map
+        (fun ((lid, inv, iter) as e) ->
+          { lid; inv; iter; tbl = counts r.into lid; self = self e })
+        snap
+    in
+    r.last_snap <- snap;
+    r.last_scopes <- s;
+    s
+  end
+
+let bump (tbl : int ref Itbl.t) k n =
+  match Itbl.find tbl k with
+  | c -> c := !c + n
+  | exception Not_found -> Itbl.add tbl k (ref n)
+
+(* Record [n] bytes' worth of dependence from [src] to [dst] in every loop
+   invocation both accesses executed in: for each scope of [dst], through
+   [src]'s innermost scope of the same loop. *)
+let add_dep (src : access) (dst : access) (n : int) =
+  if src.scopes == dst.scopes then
+    List.iter
+      (fun d ->
+        if d.self >= 0 then
+          bump d.tbl (key ~src:src.instr ~dst:dst.instr ~cross:(d.self = 1)) n)
+      dst.scopes
+  else
+    List.iter
+      (fun d ->
+        match List.find_opt (fun s -> String.equal s.lid d.lid) src.scopes with
+        | Some s when s.inv = d.inv ->
+            bump d.tbl
+              (key ~src:src.instr ~dst:dst.instr ~cross:(d.iter <> s.iter))
+              n
+        | _ -> ())
+      dst.scopes
+
+(* Walk the bytes [addr, addr + size) as runs of bytes sharing their
+   writer and readers, never crossing a page; [f pg i n] handles the run
+   of [n] bytes from slot [i] of [pg]. *)
+let runs (r : recorder) (addr : int64) (size : int)
+    (f : page -> int -> int -> unit) =
+  let a = ref (Int64.to_int addr) and stop = Int64.to_int addr + size in
+  while !a < stop do
+    let pg = page r (!a lsr 4) and i = !a land 15 in
+    let lim = min 16 (i + stop - !a) in
+    let w = pg.writer.(i) and rs = pg.readers.(i) in
+    let j = ref (i + 1) in
+    while !j < lim && pg.writer.(!j) == w && pg.readers.(!j) == rs do
+      incr j
+    done;
+    f pg i (!j - i);
+    a := !a + !j - i
+  done
+
+let record_store (r : recorder) ~(instr : int) ~(addr : int64) ~(size : int)
+    ~(snap : (string * int * int) list) =
+  let acc = { instr; scopes = scopes r snap } in
+  runs r addr size (fun pg i n ->
+      (* anti dependences: every reader since the last write *)
+      List.iter (fun rd -> add_dep rd acc n) pg.readers.(i);
+      (* output dependence: the previous writer *)
+      let w = pg.writer.(i) in
+      if w != no_access then add_dep w acc n;
+      Array.fill pg.writer i n acc;
+      Array.fill pg.readers i n [])
+
+let record_load (r : recorder) ~(instr : int) ~(addr : int64) ~(size : int)
+    ~(snap : (string * int * int) list) =
+  let acc = { instr; scopes = scopes r snap } in
+  runs r addr size (fun pg i n ->
+      (* flow dependence from the last writer *)
+      let w = pg.writer.(i) in
+      if w != no_access then add_dep w acc n;
+      (* keep the most recent access per reading instruction (standard
+         last-reader practice in dependence profilers) *)
+      let rs = acc :: List.filter (fun rd -> rd.instr <> instr) pg.readers.(i) in
+      Array.fill pg.readers i n rs)

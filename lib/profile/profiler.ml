@@ -6,15 +6,16 @@ open Scaf_ir
 open Scaf_cfg
 open Scaf_interp
 
-(* Per-run transient state must not leak across runs: interpreter addresses
-   are reused between runs, so the shadow memory and lifetime trackers are
-   cleared. *)
-let new_run (p : Profiles.t) =
-  Hashtbl.reset p.Profiles.memdep.Memdep_profile.shadow;
+(* Per-run transient state must not leak across runs (interpreter
+   addresses are reused between runs) nor outlive profiling: nothing reads
+   it afterwards. *)
+let end_run (p : Profiles.t) =
+  Time_profile.flush p.Profiles.time;
   Hashtbl.reset p.Profiles.lifetime.Lifetime_profile.pending;
   Hashtbl.reset p.Profiles.lifetime.Lifetime_profile.live_oids
 
 let hooks_for (p : Profiles.t) (tracker : Tracker.t) : Hooks.t =
+  let memdep = Memdep_profile.recorder p.Profiles.memdep in
   let lifetime = p.Profiles.lifetime in
   let time = p.Profiles.time in
   (* loop lifecycle listeners *)
@@ -35,9 +36,9 @@ let hooks_for (p : Profiles.t) (tracker : Tracker.t) : Hooks.t =
         Edge_profile.record_block p.Profiles.edges ~func:f.Func.name
           ~label:b.Block.label);
     on_edge =
-      (fun ~src_term ~src ~dst ~func ->
+      (fun ~src_term ~src:_ ~dst ~func ->
         Edge_profile.record_edge p.Profiles.edges ~src_term ~dst;
-        Tracker.edge tracker ~func:func.Func.name ~src ~dst);
+        Tracker.edge tracker ~func:func.Func.name ~dst);
     on_call_enter =
       (fun f ~ctx:_ ->
         Edge_profile.record_call p.Profiles.edges ~func:f.Func.name;
@@ -46,33 +47,25 @@ let hooks_for (p : Profiles.t) (tracker : Tracker.t) : Hooks.t =
     on_instr = (fun _ -> Time_profile.record_instr time (Tracker.actives tracker));
     on_load =
       (fun ~instr ~addr ~size ~value ~obj ~ctx ->
-        Value_profile.record p.Profiles.values ~load:instr.Instr.id ~value;
-        Residue_profile.record p.Profiles.residues ~access:instr.Instr.id ~addr;
-        let snap = Tracker.snapshot tracker in
-        Memdep_profile.record_load p.Profiles.memdep ~instr:instr.Instr.id
-          ~addr ~size ~snap;
-        match obj with
-        | Some o ->
-            let off = Int64.to_int (Int64.sub addr o.Memory.base) in
-            Points_to_profile.record p.Profiles.points_to ~instr:instr.Instr.id
-              ~obj:o ~off ~size ~ctx;
-            Lifetime_profile.record_access lifetime ~site:(Site.of_obj o)
-              ~write:false ~snap
-        | None -> ());
+        let id = instr.Instr.id and snap = Tracker.snapshot tracker in
+        Value_profile.record p.Profiles.values ~load:id ~value;
+        Residue_profile.record p.Profiles.residues ~access:id ~addr;
+        Memdep_profile.record_load memdep ~instr:id ~addr ~size ~snap;
+        let off = Int64.to_int (Int64.sub addr obj.Memory.base) in
+        Points_to_profile.record p.Profiles.points_to ~instr:id ~obj ~off ~size
+          ~ctx;
+        Lifetime_profile.record_access lifetime ~site:(Site.of_obj obj)
+          ~write:false ~snap);
     on_store =
       (fun ~instr ~addr ~size ~value:_ ~obj ~ctx ->
-        Residue_profile.record p.Profiles.residues ~access:instr.Instr.id ~addr;
-        let snap = Tracker.snapshot tracker in
-        Memdep_profile.record_store p.Profiles.memdep ~instr:instr.Instr.id
-          ~addr ~size ~snap;
-        match obj with
-        | Some o ->
-            let off = Int64.to_int (Int64.sub addr o.Memory.base) in
-            Points_to_profile.record p.Profiles.points_to ~instr:instr.Instr.id
-              ~obj:o ~off ~size ~ctx;
-            Lifetime_profile.record_access lifetime ~site:(Site.of_obj o)
-              ~write:true ~snap
-        | None -> ());
+        let id = instr.Instr.id and snap = Tracker.snapshot tracker in
+        Residue_profile.record p.Profiles.residues ~access:id ~addr;
+        Memdep_profile.record_store memdep ~instr:id ~addr ~size ~snap;
+        let off = Int64.to_int (Int64.sub addr obj.Memory.base) in
+        Points_to_profile.record p.Profiles.points_to ~instr:id ~obj ~off ~size
+          ~ctx;
+        Lifetime_profile.record_access lifetime ~site:(Site.of_obj obj)
+          ~write:true ~snap);
     on_ptr =
       (fun ~instr ~addr ~obj ~ctx ->
         Residue_profile.record p.Profiles.residues ~access:instr.Instr.id ~addr;
@@ -97,13 +90,13 @@ let profile ?(inputs : int64 array list = [ [||] ]) ?(fuel = 50_000_000)
   let p = Profiles.create ctx in
   List.iter
     (fun input ->
-      new_run p;
       let tracker =
         Tracker.create ~loops_of:(fun fname -> Progctx.loops_of ctx fname)
       in
       let hooks = hooks_for p tracker in
       let (_ : Eval.result) = Eval.run ~hooks ~fuel ~input ctx.Progctx.m in
-      Tracker.finish tracker)
+      Tracker.finish tracker;
+      end_run p)
     inputs;
   p
 

@@ -9,6 +9,9 @@ type t = {
   iterations : (string, int) Hashtbl.t;
   invocations : (string, int) Hashtbl.t;
   mutable total : int;
+  mutable under : Tracker.active list;
+      (** the loops the [pending] instructions ran under *)
+  mutable pending : int;  (** instructions not yet added to [per_loop] *)
 }
 
 let create () : t =
@@ -17,24 +20,39 @@ let create () : t =
     iterations = Hashtbl.create 32;
     invocations = Hashtbl.create 32;
     total = 0;
+    under = [];
+    pending = 0;
   }
 
 let bump tbl key n =
   Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
-let record_instr (t : t) (actives : Tracker.active list) =
-  t.total <- t.total + 1;
+(** Add the pending instructions to their loops. Call at the end of every
+    run, before reading [per_loop]. *)
+let flush (t : t) =
   (* A loop can appear once per frame; attribute once per distinct lid. *)
   let rec go seen = function
     | [] -> ()
     | (a : Tracker.active) :: tl ->
         if List.mem a.Tracker.lid seen then go seen tl
         else begin
-          bump t.per_loop a.Tracker.lid 1;
+          bump t.per_loop a.Tracker.lid t.pending;
           go (a.Tracker.lid :: seen) tl
         end
   in
-  go [] actives
+  if t.pending > 0 then go [] t.under;
+  t.under <- [];
+  t.pending <- 0
+
+(* The tracker hands out the same active list until the loop state
+   changes, so instructions are counted per stretch of unchanged state. *)
+let record_instr (t : t) (actives : Tracker.active list) =
+  t.total <- t.total + 1;
+  if actives != t.under then begin
+    flush t;
+    t.under <- actives
+  end;
+  t.pending <- t.pending + 1
 
 let record_iteration (t : t) ~(lid : string) = bump t.iterations lid 1
 let record_invocation (t : t) ~(lid : string) = bump t.invocations lid 1

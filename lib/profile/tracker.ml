@@ -23,6 +23,8 @@ type t = {
   mutable frames : frame list;  (** innermost first *)
   inv_counter : (string, int) Hashtbl.t;
   mutable cached_actives : active list;  (** all frames, innermost first *)
+  mutable cached_snap : (string * int * int) list;
+      (** [cached_actives] as an immutable snapshot *)
   mutable on_enter : (active -> unit) list;
   mutable on_iter : (active -> unit) list;  (** fires at every iteration start, including the first *)
   mutable on_exit : (active -> unit) list;
@@ -34,6 +36,7 @@ let create ~(loops_of : string -> Loops.t option) : t =
     frames = [];
     inv_counter = Hashtbl.create 32;
     cached_actives = [];
+    cached_snap = [];
     on_enter = [];
     on_iter = [];
     on_exit = [];
@@ -43,16 +46,20 @@ let add_enter_listener t f = t.on_enter <- t.on_enter @ [ f ]
 let add_iter_listener t f = t.on_iter <- t.on_iter @ [ f ]
 let add_exit_listener t f = t.on_exit <- t.on_exit @ [ f ]
 
+(* Rebuilt only when a loop is entered, iterated or exited, or a frame is
+   pushed or popped, so between those events every caller sees the same
+   lists physically. *)
 let refresh_cache (t : t) =
-  t.cached_actives <- List.concat_map (fun fr -> fr.lstack) t.frames
+  t.cached_actives <- List.concat_map (fun fr -> fr.lstack) t.frames;
+  t.cached_snap <-
+    List.map (fun a -> (a.lid, a.invocation, a.iteration)) t.cached_actives
 
 (** Active loop invocations, innermost first (across call frames). *)
 let actives (t : t) : active list = t.cached_actives
 
 (** Immutable snapshot [(lid, invocation, iteration)] for dependence
-    attribution. *)
-let snapshot (t : t) : (string * int * int) list =
-  List.map (fun a -> (a.lid, a.invocation, a.iteration)) t.cached_actives
+    attribution; physically the same list until the loop state changes. *)
+let snapshot (t : t) : (string * int * int) list = t.cached_snap
 
 let call_enter (t : t) (fname : string) =
   t.frames <- { fname; lstack = [] } :: t.frames;
@@ -81,7 +88,7 @@ let finish (t : t) =
     call_exit t
   done
 
-let edge (t : t) ~(func : string) ~(src : string) ~(dst : string) =
+let edge (t : t) ~(func : string) ~(dst : string) =
   match t.frames with
   | [] -> ()
   | fr :: _ -> (
@@ -90,29 +97,27 @@ let edge (t : t) ~(func : string) ~(src : string) ~(dst : string) =
         match t.loops_of func with
         | None -> ()
         | Some li ->
-            let cfg = li.Loops.cfg in
-            let src_i = Cfg.index_of cfg src in
-            let dst_i = Cfg.index_of cfg dst in
-            ignore src_i;
+            let dst_i = Cfg.index_of li.Loops.cfg dst in
             (* leave loops that do not contain the destination *)
-            let rec pops () =
+            let rec pops popped =
               match fr.lstack with
               | a :: _ when not (Loops.contains a.loop dst_i) ->
                   pop_loop t fr;
-                  pops ()
-              | _ -> ()
+                  pops true
+              | _ -> popped
             in
-            pops ();
+            let popped = pops false in
             (* header? *)
-            (match
-               List.find_opt (fun (l : Loops.loop) -> l.Loops.header = dst_i) li.Loops.loops
-             with
+            match
+              List.find_opt (fun (l : Loops.loop) -> l.Loops.header = dst_i) li.Loops.loops
+            with
             | Some l -> (
                 match fr.lstack with
                 | a :: _ when String.equal a.lid l.Loops.lid ->
                     (* back edge: next iteration *)
                     a.iteration <- a.iteration + 1;
-                    List.iter (fun f -> f a) t.on_iter
+                    List.iter (fun f -> f a) t.on_iter;
+                    refresh_cache t
                 | _ ->
                     let inv =
                       1
@@ -125,6 +130,6 @@ let edge (t : t) ~(func : string) ~(src : string) ~(dst : string) =
                     in
                     fr.lstack <- a :: fr.lstack;
                     List.iter (fun f -> f a) t.on_enter;
-                    List.iter (fun f -> f a) t.on_iter)
-            | None -> ());
-            refresh_cache t)
+                    List.iter (fun f -> f a) t.on_iter;
+                    refresh_cache t)
+            | None -> if popped then refresh_cache t)

@@ -230,6 +230,13 @@ let stream_exchange (c : t) ~(bench : string)
                     | _ -> ());
                     read ()
                 | Protocol.Send s ->
+                    (* a cancel that landed after the stream ended is
+                       answered as a request of its own: read that reply,
+                       or the next exchange would take it for its own *)
+                    if !cancel_sent && not s.Protocol.st_cancelled then (
+                      match Wire.read_frame ~buf:c.bufs fd with
+                      | Ok _ -> ()
+                      | Error _ -> disconnect c);
                     let answers =
                       List.sort
                         (fun (i, _) (k, _) -> Int.compare i k)

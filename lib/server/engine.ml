@@ -37,6 +37,7 @@ type bench = {
   mutable row : Scaf_report.Experiments.fig8_row option;
       (** the benchmark's Figure 8 row, evaluated on first demand and
           dropped by {!apply_edit} (it describes the previous epoch) *)
+  fingerprint : Fingerprint.memo;  (** of [program]'s current profiles *)
 }
 
 type t = {
@@ -92,6 +93,7 @@ let load_bench (p : Program.t) : bench =
         ~funcs_of:(Collector.funcs_of_ctx (Program.ctx program));
     bm = Mutex.create ();
     row = None;
+    fingerprint = Fingerprint.memo ();
   }
 
 (** [jobs] sizes the engine's domain pool (default 1: no extra domains —
@@ -373,11 +375,11 @@ let apply_edit (t : t) (b : bench) (wedits : Protocol.wire_edit list) :
             ]
       | ops -> (
           let old_m = Program.program b.program in
-          let old_fp = Fingerprint.of_profiles (bench_profiles b) in
+          let old_fp = Fingerprint.current b.fingerprint b.program in
           match Edit.apply_all b.program ops with
           | Error e -> Error e
           | Ok diff ->
-              let new_fp = Fingerprint.of_profiles (bench_profiles b) in
+              let new_fp = Fingerprint.current b.fingerprint b.program in
               let profile_dirty =
                 Fingerprint.changed ~before:old_fp ~after:new_fp
               in

@@ -239,6 +239,85 @@ let test_lint_shipped_config_clean () =
        (fun (f : Finding.t) -> f.Finding.severity = Finding.Info)
        fs)
 
+(* -- the dynamic-dependence oracle ---------------------------------- *)
+
+(* [@acc] carries a flow dependence from each iteration's store to the
+   next iteration's load on every input; [@rare] is stored and reloaded
+   within an iteration only when input 0 is non-zero. *)
+let oracle_src =
+  {|
+global @acc 8
+global @rare 8
+func @main() {
+entry:
+  %mode = call @input(0)
+  br loop
+loop:
+  %i = phi [entry: 0], [latch: %i2]
+  %v = load 8, @acc
+  %v2 = add %v, %i
+  store 8, @acc, %v2
+  %c = icmp ne %mode, 0
+  condbr %c, rare, latch
+rare:
+  store 8, @rare, %i
+  %r = load 8, @rare
+  br latch
+latch:
+  %i2 = add %i, 1
+  %d = icmp slt %i2, 10
+  condbr %d, loop, exit
+exit:
+  ret
+}
+|}
+
+let observe_oracle_src () =
+  let m = Scaf_ir.Parser.parse_exn_msg oracle_src in
+  let id p =
+    let r = ref (-1) in
+    Scaf_ir.Irmod.iter_instrs m (fun _ _ i -> if p i then r := i.Scaf_ir.Instr.id);
+    !r
+  in
+  let store g =
+    id (fun i ->
+        match i.Scaf_ir.Instr.kind with
+        | Scaf_ir.Instr.Store { ptr = Scaf_ir.Value.Global g'; _ } -> String.equal g g'
+        | _ -> false)
+  in
+  let load reg = id (fun i -> i.Scaf_ir.Instr.dst = Some reg) in
+  let train, any =
+    Oracle.observe (Scaf_cfg.Progctx.build m) ~train:[ [| 0L |] ] ~ref_input:[| 1L |]
+  in
+  (store, load, train, any)
+
+let test_oracle_cross_iteration_flow () =
+  let store, load, train, any = observe_oracle_src () in
+  let seen w =
+    Scaf_profile.Memdep_profile.observed w ~lid:"main:loop" ~src:(store "acc")
+      ~dst:(load "v") ~cross:true
+  in
+  checkb "cross-iteration flow in train" true (seen train);
+  checkb "cross-iteration flow in any" true (seen any);
+  checkb "no intra-iteration flow (the store follows the load)" false
+    (Scaf_profile.Memdep_profile.observed any ~lid:"main:loop" ~src:(store "acc")
+       ~dst:(load "v") ~cross:false)
+
+let test_oracle_rare_path_only_in_any () =
+  let store, load, train, any = observe_oracle_src () in
+  let seen w =
+    Scaf_profile.Memdep_profile.observed w ~lid:"main:loop" ~src:(store "rare")
+      ~dst:(load "r") ~cross:false
+  in
+  checkb "rare-path flow not in train" false (seen train);
+  checkb "rare-path flow in any" true (seen any);
+  (* recording the reference run into [any] left [train] untouched *)
+  checkb "train is a subset of any" true
+    (List.for_all
+       (fun (s, d, c) ->
+         Scaf_profile.Memdep_profile.observed any ~lid:"main:loop" ~src:s ~dst:d ~cross:c)
+       (Scaf_profile.Memdep_profile.all train ~lid:"main:loop"))
+
 let suite =
   [
     ( "audit",
@@ -249,6 +328,10 @@ let suite =
           test_broken_module_fails_the_audit;
         Alcotest.test_case "asymmetric module warned" `Slow
           test_asymmetric_module_warned;
+        Alcotest.test_case "oracle: cross-iteration flow" `Quick
+          test_oracle_cross_iteration_flow;
+        Alcotest.test_case "oracle: rare path only in any" `Quick
+          test_oracle_rare_path_only_in_any;
         Alcotest.test_case "lint: duplicate names" `Quick
           test_lint_duplicate_names;
         Alcotest.test_case "lint: Timeout without clock" `Quick

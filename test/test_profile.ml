@@ -313,6 +313,133 @@ let test_memdep_profile () =
   checkb "x-y unrelated" false
     (Memdep_profile.observed p.Profiles.memdep ~lid ~src:st_x ~dst:ld_y ~cross:false)
 
+(* ---- the recorder against the byte-at-a-time reference model ---- *)
+
+type op =
+  | Access of { store : bool; instr : int; obj : int; off : int; size : int }
+  | Snap of int  (** switch to a pooled snapshot, physically shared *)
+  | Snap_copy of int  (** an equal but physically fresh copy of one *)
+  | Alloc of int
+  | Mark
+  | Undo  (** roll memory back to the last mark: later allocations reuse its addresses *)
+
+(* nested loops, a callee's loop, a recursive re-entry of the inner loop,
+   and a scope list no tracker builds (one invocation listed twice) *)
+let snap_pool =
+  [|
+    [];
+    [ ("f:inner", 1, 1); ("f:outer", 1, 1) ];
+    [ ("f:inner", 1, 2); ("f:outer", 1, 1) ];
+    [ ("f:inner", 2, 1); ("f:outer", 1, 2) ];
+    [ ("f:outer", 1, 2) ];
+    [ ("g:loop", 1, 1); ("f:inner", 2, 3); ("f:outer", 1, 2) ];
+    [ ("f:inner", 3, 1); ("f:inner", 2, 3); ("f:outer", 1, 2) ];
+    [ ("f:inner", 2, 1); ("f:inner", 2, 3) ];
+  |]
+
+let pp_op = function
+  | Access { store; instr; obj; off; size } ->
+      Printf.sprintf "%s#%d o%d+%d/%d" (if store then "st" else "ld") instr obj off size
+  | Snap i -> Printf.sprintf "snap%d" i
+  | Snap_copy i -> Printf.sprintf "snapcopy%d" i
+  | Alloc n -> Printf.sprintf "alloc%d" n
+  | Mark -> "mark"
+  | Undo -> "undo"
+
+let gen_op : op QCheck.Gen.t =
+  let open QCheck.Gen in
+  let snap = int_bound (Array.length snap_pool - 1) in
+  frequency
+    [
+      ( 12,
+        map
+          (fun (store, instr, obj, off, size) -> Access { store; instr; obj; off; size })
+          (tup5 bool (int_bound 5) (int_bound 3) (int_bound 40) (oneofl [ 1; 2; 4; 8 ])) );
+      (3, map (fun i -> Snap i) snap);
+      (1, map (fun i -> Snap_copy i) snap);
+      (1, map (fun n -> Alloc n) (int_range 1 48));
+      (1, return Mark);
+      (1, return Undo);
+    ]
+
+(* Replay [ops] through the recorder and the reference model; both see the
+   same addresses, taken from live objects of a journaling memory. *)
+let replay (ops : op list) =
+  let open Scaf_interp in
+  let mem = Memory.create () in
+  Memory.set_journaling mem true;
+  let alloc n = Memory.alloc mem ~size:n ~kind:(Memory.KHeap 0) ~ctx:[] in
+  let objs = ref [ alloc 24; alloc 9 ] and marks = ref [] and snap = ref [] in
+  let deps = Memdep_profile.create () in
+  let r = Memdep_profile.recorder deps and model = Memdep_reference.create () in
+  List.iter
+    (function
+      | Access { store; instr; obj; off; size } ->
+          let o = List.nth !objs (obj mod List.length !objs) in
+          let size = min size o.Memory.size in
+          let addr = Int64.add o.Memory.base (Int64.of_int (off mod (o.Memory.size - size + 1))) in
+          let snap = !snap in
+          if store then begin
+            Memdep_profile.record_store r ~instr ~addr ~size ~snap;
+            Memdep_reference.record_store model ~instr ~addr ~size ~snap
+          end
+          else begin
+            Memdep_profile.record_load r ~instr ~addr ~size ~snap;
+            Memdep_reference.record_load model ~instr ~addr ~size ~snap
+          end
+      | Snap i -> snap := snap_pool.(i)
+      | Snap_copy i -> snap := List.map Fun.id snap_pool.(i)
+      | Alloc n -> objs := alloc n :: !objs
+      | Mark -> marks := (Memory.mark mem, !objs) :: !marks
+      | Undo -> (
+          match !marks with
+          | (m, os) :: rest ->
+              Memory.undo_to mem m;
+              objs := os;
+              marks := rest
+          | [] -> ()))
+    ops;
+  let rows = ref [] in
+  Memdep_profile.iter (fun lid (s, d, c) n -> rows := (lid, s, d, c, n) :: !rows) deps;
+  (List.sort compare !rows, Memdep_reference.rows model)
+
+let prop_recorder_matches_reference =
+  QCheck.Test.make ~name:"memdep recorder = byte-at-a-time model, counts included"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map pp_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 120) gen_op))
+    (fun ops ->
+      let got, want = replay ops in
+      got = want)
+
+(* The generator's undo really makes later objects overlap addresses an
+   earlier, rolled-back object had touched. *)
+let test_recorder_address_reuse () =
+  let ops =
+    [
+      Snap 1;
+      Mark;
+      Alloc 16;
+      Access { store = true; instr = 1; obj = 0; off = 0; size = 8 };
+      Alloc 16;
+      Access { store = true; instr = 2; obj = 0; off = 0; size = 8 };
+      Undo;
+      Alloc 40;
+      Snap 2;
+      Access { store = false; instr = 3; obj = 0; off = 0; size = 8 };
+      Access { store = false; instr = 4; obj = 0; off = 32; size = 8 };
+    ]
+  in
+  let got, want = replay ops in
+  checkb "same table" true (got = want);
+  (* the new 40-byte object spans both rolled-back objects' bytes *)
+  checkb "read through a reused address" true
+    (List.exists (fun (_, s, d, c, n) -> s = 1 && d = 3 && c && n = 8) got);
+  checkb "second reused object seen too" true
+    (List.exists (fun (_, s, d, _, n) -> s = 2 && d = 4 && n = 8) got)
+
 let nested_time_src =
   {|
 func @main() {
@@ -425,6 +552,9 @@ let suite =
           test_lifetime_leak_detected;
         Alcotest.test_case "memory-dependence profile" `Quick
           test_memdep_profile;
+        QCheck_alcotest.to_alcotest prop_recorder_matches_reference;
+        Alcotest.test_case "recorder, addresses reused after undo" `Quick
+          test_recorder_address_reuse;
         Alcotest.test_case "time profile, nested loops" `Quick
           test_time_profile_nested;
         Alcotest.test_case "hot-loop thresholds" `Quick

@@ -122,6 +122,32 @@ let test_speculation_end_to_end () =
             .Scaf_interp.Eval.output))
     [ "052.alvinn"; "175.vpr"; "429.mcf"; "462.libquantum" ]
 
+(* Profiling's allocation rate over the whole suite. With a byte-at-a-time
+   dependence recorder it was 134 minor words per executed instruction;
+   the bound is half of that. *)
+let test_profiling_allocation () =
+  let progs = List.map (fun p -> (p, Program.ctx p)) (Registry.all ()) in
+  let executed =
+    List.fold_left
+      (fun n (p, ctx) ->
+        List.fold_left
+          (fun n input ->
+            n
+            + (Scaf_interp.Eval.run ~input ctx.Scaf_cfg.Progctx.m)
+                .Scaf_interp.Eval.instrs_executed)
+          n (Program.train_inputs p))
+      0 progs
+  in
+  let w0 = Gc.minor_words () in
+  List.iter
+    (fun (p, ctx) ->
+      ignore (Scaf_profile.Profiler.profile ~inputs:(Program.train_inputs p) ctx))
+    progs;
+  let per_instr = (Gc.minor_words () -. w0) /. float_of_int executed in
+  checkb
+    (Printf.sprintf "%.1f minor words per executed instruction <= 67" per_instr)
+    true (per_instr <= 67.0)
+
 let suite =
   [
     ( "suite",
@@ -130,6 +156,8 @@ let suite =
           test_all_parse_verify_run;
         Alcotest.test_case "sixteen benchmarks" `Quick test_sixteen_benchmarks;
         Alcotest.test_case "56 hot loops" `Quick test_hot_loop_count;
+        Alcotest.test_case "profiling allocation per instruction" `Quick
+          test_profiling_allocation;
         Alcotest.test_case "scheme precision order, all benchmarks" `Slow
           test_scheme_order_all;
         Alcotest.test_case "CAF sound vs observed deps" `Slow
