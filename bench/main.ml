@@ -17,7 +17,10 @@
       resolver per worker), the same sweep on a persistent pool, and a
       steal-heavy imbalanced workload ([parallel/steal-*]).
     - [substrate/*] — parser, dominator tree, loop detection, interpreter
-      and profiler throughput.
+      and profiler throughput. [substrate/interp-suite] and
+      [substrate/profile-suite] run the 16 suite programs' training inputs
+      (bare, then under every profiler) and report ns per executed
+      instruction instead of per run.
     - [resilience/*] — checkpoint/journal overhead: an uninstrumented run
       vs. checkpoints-only vs. a forced rollback+replay, plus one chaos
       sweep with the whole ensemble raising behind the circuit breaker.
@@ -350,6 +353,11 @@ let parallel_tests =
 (* substrate/*                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Rows reported per executed instruction: name -> instructions per run. *)
+let per_instr_rows : (string, int) Hashtbl.t = Hashtbl.create 4
+
+let per_instruction name executed = Hashtbl.replace per_instr_rows name executed
+
 let substrate_tests =
   let big =
     Scaf_suite.Program.program (Option.get (Scaf_suite.Registry.find "429.mcf"))
@@ -358,6 +366,27 @@ let substrate_tests =
   let f = Option.get (Scaf_ir.Irmod.find_func suite_bench "arc_run") in
   let cfg = Scaf_cfg.Cfg.of_func f in
   let motivating_ctx = Scaf_cfg.Progctx.build motivating in
+  let suite =
+    List.map
+      (fun b -> (b, Scaf_suite.Program.ctx b))
+      (Scaf_suite.Registry.all ())
+  in
+  let suite_runs =
+    List.concat_map
+      (fun (b, ctx) ->
+        List.map
+          (fun input -> (ctx.Scaf_cfg.Progctx.m, input))
+          (Scaf_suite.Program.train_inputs b))
+      suite
+  in
+  let executed =
+    List.fold_left
+      (fun n (m, input) ->
+        n + (Scaf_interp.Eval.run ~input m).Scaf_interp.Eval.instrs_executed)
+      0 suite_runs
+  in
+  per_instruction "substrate/interp-suite" executed;
+  per_instruction "substrate/profile-suite" executed;
   [
     Test.make ~name:"substrate/parse-429.mcf"
       (Staged.stage (fun () -> ignore (Scaf_ir.Parser.parse_exn_msg text)));
@@ -372,6 +401,20 @@ let substrate_tests =
     Test.make ~name:"substrate/profile-motivating"
       (Staged.stage (fun () ->
            ignore (Scaf_profile.Profiler.profile_module motivating)));
+    Test.make ~name:"substrate/interp-suite"
+      (Staged.stage (fun () ->
+           List.iter
+             (fun (m, input) -> ignore (Scaf_interp.Eval.run ~input m))
+             suite_runs));
+    Test.make ~name:"substrate/profile-suite"
+      (Staged.stage (fun () ->
+           List.iter
+             (fun (b, ctx) ->
+               ignore
+                 (Scaf_profile.Profiler.profile
+                    ~inputs:(Scaf_suite.Program.train_inputs b)
+                    ctx))
+             suite));
     Test.make ~name:"substrate/oracle-observe-motivating"
       (Staged.stage (fun () ->
            ignore
@@ -687,14 +730,21 @@ let run_tests (tests : Test.t list) =
       Hashtbl.iter
         (fun name v ->
           match Analyze.OLS.estimates v with
-          | Some [ t ] ->
-              measured := (name, t) :: !measured;
-              Fmt.pr "%-36s %12.1f ns/run@." name t
+          | Some [ t ] -> (
+              match Hashtbl.find_opt per_instr_rows name with
+              | Some n ->
+                  let t = t /. float_of_int n in
+                  measured := (name, t) :: !measured;
+                  Fmt.pr "%-36s %12.1f ns/instr@." name t
+              | None ->
+                  measured := (name, t) :: !measured;
+                  Fmt.pr "%-36s %12.1f ns/run@." name t)
           | _ -> Fmt.pr "%-36s (no estimate)@." name)
         ols)
     tests
 
-(* Persist the run as a flat {"benchmarks": {name: ns_per_run}} snapshot;
+(* Persist the run as a flat {"benchmarks": {name: ns_per_run}} snapshot
+   (ns per executed instruction for the per-instruction rows);
    ci/compare_bench.py gates regressions against a committed baseline. *)
 let write_json (path : string) =
   let open Scaf_server in

@@ -48,13 +48,32 @@ let audit_bench ?extra_modules ?trace ?metrics (cards : Oracle.cards)
   in
   let loops = List.map fst (Scaf_pdg.Nodep.hot_loop_weights profiles) in
   let bench = Program.id b in
-  let findings =
+  (* Each query is fanned out once; the oracle pass grades the answers,
+     then the contradiction pass cross-examines the same answers. *)
+  let check_loop lid =
+    let w = lazy (Witness.for_loop prog ~lid) in
+    let witness () = Lazy.force w in
+    let answered =
+      List.map
+        (fun (work : Oracle.work) ->
+          let answers = Orchestrator.consult_all orch work.Oracle.query in
+          (work, answers))
+        (Oracle.workload prog ~lid)
+    in
+    let oracle =
+      List.concat_map
+        (fun (work, answers) ->
+          Oracle.check_query orch ~bench ~lid ~train ~any ~witness cards work
+            answers)
+        answered
+    in
     List.concat_map
-      (fun lid ->
-        Contradiction.check_loop orch prog ~bench ~lid
-        @ Oracle.check_loop orch prog ~bench ~lid ~train ~any cards)
-      loops
+      (fun ((work : Oracle.work), answers) ->
+        Contradiction.check_query orch ~bench ~witness work.Oracle.query answers)
+      answered
+    @ oracle
   in
+  let findings = List.concat_map check_loop loops in
   (findings, config, (Orchestrator.stats orch).Orchestrator.client_queries)
 
 (** Run the full audit. [extra_modules] appends modules under audit to the

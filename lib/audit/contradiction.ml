@@ -83,7 +83,8 @@ let check_pairwise ~bench ~query ~witness ~explain
                 Finding.make ~pass:Finding.Contradiction
                   ~severity:Finding.Soundness
                   ~modname:(Printf.sprintf "%s vs %s" n1 n2)
-                  ~bench ~query ~witness:(witness ()) ~explain:(explain ())
+                  ~bench ~query:(query ()) ~witness:(witness ())
+                  ~explain:(explain ())
                   (Printf.sprintf
                      "assertion-free answers contradict: %s says %s, %s says \
                       %s"
@@ -156,6 +157,21 @@ let check_monotonicity (orch : Orchestrator.t) ~bench (q : Query.t)
       else None)
     answers
 
+(** Cross-examine one query's fan-out [answers] (its per-module answers,
+    {!Orchestrator.consult_all}). *)
+let check_query (orch : Orchestrator.t) ~(bench : string)
+    ~(witness : unit -> string) (q : Query.t)
+    (answers : (string * Response.t) list) : Finding.t list =
+  (* the query text and the derivation tree are only rendered when a
+     finding embeds them *)
+  let r = lazy (render_query q) in
+  let query () = Lazy.force r in
+  let e = lazy (explain_query orch q) in
+  let explain () = Lazy.force e in
+  check_pairwise ~bench ~query ~witness ~explain answers
+  @ check_symmetry orch ~bench ~witness ~explain q answers
+  @ check_monotonicity orch ~bench q answers
+
 (** Run the contradiction pass over one hot loop's workload (dependence
     queries + alias probes). *)
 let check_loop (orch : Orchestrator.t) (prog : Scaf_cfg.Progctx.t)
@@ -172,13 +188,5 @@ let check_loop (orch : Orchestrator.t) (prog : Scaf_cfg.Progctx.t)
     List.map (fun (_, _, q) -> q) (Scaf_pdg.Pdg.alias_probes_of_loop prog lid)
   in
   List.concat_map
-    (fun q ->
-      let answers = Orchestrator.consult_all orch q in
-      let query = render_query q in
-      (* the derivation tree is only rendered when a finding embeds it *)
-      let e = lazy (explain_query orch q) in
-      let explain () = Lazy.force e in
-      check_pairwise ~bench ~query ~witness ~explain answers
-      @ check_symmetry orch ~bench ~witness ~explain q answers
-      @ check_monotonicity orch ~bench q answers)
+    (fun q -> check_query orch ~bench ~witness q (Orchestrator.consult_all orch q))
     (dep_queries @ alias_queries)

@@ -96,11 +96,8 @@ let observe ?(fuel = 50_000_000) (prog : Progctx.t)
     let hooks =
       {
         Hooks.nop with
-        Hooks.on_edge =
-          (fun ~src_term:_ ~src:_ ~dst ~func ->
-            Tracker.edge tracker ~func:func.Scaf_ir.Func.name ~dst);
-        on_call_enter =
-          (fun f ~ctx:_ -> Tracker.call_enter tracker f.Scaf_ir.Func.name);
+        Hooks.on_edge = (fun fn ~src:_ ~dst -> Tracker.edge tracker fn ~dst);
+        on_call_enter = (fun fn ~ctx:_ -> Tracker.call_enter tracker fn);
         on_call_exit = (fun _ -> Tracker.call_exit tracker);
         on_load =
           (fun ~instr ~addr ~size ~value:_ ~obj:_ ~ctx:_ ->
@@ -186,19 +183,23 @@ let grade ~bench ~lid ~(train : Memdep_profile.t) ~(any : Memdep_profile.t)
     | Some ev -> finding ~phrase:"speculative" ev
     | None -> None
 
-(** Grade every module's individual answers over one hot loop's workload
-    against the observed dependences, tallying audit cards along the way. *)
-let check_loop (orch : Orchestrator.t) (prog : Progctx.t) ~(bench : string)
-    ~(lid : string) ~(train : Memdep_profile.t) ~(any : Memdep_profile.t)
-    (cards : cards) : Finding.t list =
-  let w = lazy (Witness.for_loop prog ~lid) in
-  let witness () = Lazy.force w in
+(** One query of a hot loop's workload: the query, the observed-dependence
+    patterns any one of which contradicts a disproof of it, and the claim
+    such a disproof makes. *)
+type work = { query : Query.t; evidence : (int * int * bool) list; claim : string }
+
+(** A hot loop's workload: its dependence queries, then its alias probes
+    (the contradiction pass's workload, in the same order). *)
+let workload (prog : Progctx.t) ~(lid : string) : work list =
   let dep_work =
     List.map
       (fun (dq : Scaf_pdg.Pdg.dep_query) ->
-        ( Scaf_pdg.Pdg.to_query lid dq,
-          [ (dq.Scaf_pdg.Pdg.src, dq.Scaf_pdg.Pdg.dst, dq.Scaf_pdg.Pdg.cross) ],
-          "NoDep" ))
+        {
+          query = Scaf_pdg.Pdg.to_query lid dq;
+          evidence =
+            [ (dq.Scaf_pdg.Pdg.src, dq.Scaf_pdg.Pdg.dst, dq.Scaf_pdg.Pdg.cross) ];
+          claim = "NoDep";
+        })
       (Scaf_pdg.Pdg.queries_of_loop prog lid)
   in
   let alias_work =
@@ -215,17 +216,35 @@ let check_loop (orch : Orchestrator.t) (prog : Progctx.t) ~(bench : string)
                  orders *)
               [ (i1, i2, false); (i2, i1, false) ]
         in
-        (q, evidence, "NoAlias"))
+        { query = q; evidence; claim = "NoAlias" })
       (Scaf_pdg.Pdg.alias_probes_of_loop prog lid)
   in
+  dep_work @ alias_work
+
+(** Grade one query's fan-out [answers] (its per-module answers,
+    {!Orchestrator.consult_all}), tallying audit cards. *)
+let check_query (orch : Orchestrator.t) ~(bench : string) ~(lid : string)
+    ~(train : Memdep_profile.t) ~(any : Memdep_profile.t)
+    ~(witness : unit -> string) (cards : cards) (w : work)
+    (answers : (string * Response.t) list) : Finding.t list =
+  let e = lazy (Contradiction.explain_query orch w.query) in
+  let explain () = Lazy.force e in
+  List.filter_map
+    (fun (name, r) ->
+      let card = tally cards name r in
+      grade ~bench ~lid ~train ~any ~witness ~explain ~evidence:w.evidence
+        ~claim:w.claim name r card w.query)
+    answers
+
+(** Grade every module's individual answers over one hot loop's workload
+    against the observed dependences, tallying audit cards along the way. *)
+let check_loop (orch : Orchestrator.t) (prog : Progctx.t) ~(bench : string)
+    ~(lid : string) ~(train : Memdep_profile.t) ~(any : Memdep_profile.t)
+    (cards : cards) : Finding.t list =
+  let w = lazy (Witness.for_loop prog ~lid) in
+  let witness () = Lazy.force w in
   List.concat_map
-    (fun (q, evidence, claim) ->
-      let e = lazy (Contradiction.explain_query orch q) in
-      let explain () = Lazy.force e in
-      List.filter_map
-        (fun (name, r) ->
-          let card = tally cards name r in
-          grade ~bench ~lid ~train ~any ~witness ~explain ~evidence ~claim
-            name r card q)
-        (Orchestrator.consult_all orch q))
-    (dep_work @ alias_work)
+    (fun work ->
+      check_query orch ~bench ~lid ~train ~any ~witness cards work
+        (Orchestrator.consult_all orch work.query))
+    (workload prog ~lid)

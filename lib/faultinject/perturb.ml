@@ -24,10 +24,6 @@ let kind_name = function
   | Shift_value -> "shift-value"
   | Poison_residue -> "poison-residue"
 
-(* deterministic candidate order regardless of hash-table iteration *)
-let sorted_keys tbl =
-  List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
-
 let pick rng = function
   | [] -> None
   | l -> Some (List.nth l (Random.State.int rng (List.length l)))
@@ -39,10 +35,13 @@ let apply ~(seed : int) (k : kind) (p : Profiles.t) : string option =
   let rng = Random.State.make [| seed; Hashtbl.hash (kind_name k) |] in
   match k with
   | Flip_branch -> (
-      let blocks = p.Profiles.edges.Edge_profile.blocks in
-      match pick rng (sorted_keys blocks) with
-      | Some ((f, l) as key) ->
-          Hashtbl.remove blocks key;
+      let edges = p.Profiles.edges in
+      let blocks = ref [] in
+      Edge_profile.iter_blocks (fun f l _ -> blocks := (f, l) :: !blocks) edges;
+      (* sorted: the candidate order must not depend on hash-table order *)
+      match pick rng (List.sort compare !blocks) with
+      | Some (f, l) ->
+          Edge_profile.forget_block edges ~func:f ~label:l;
           Some (Printf.sprintf "flip-branch: block %s:%s now appears dead" f l)
       | None -> None)
   | Shift_value -> (
@@ -50,11 +49,11 @@ let apply ~(seed : int) (k : kind) (p : Profiles.t) : string option =
       let stable =
         List.filter
           (fun id -> Value_profile.predictable tbl id <> None)
-          (sorted_keys tbl)
+          (Idtbl.keys tbl)
       in
       match pick rng stable with
       | Some id ->
-          let e = Hashtbl.find tbl id in
+          let e = Idtbl.find tbl id in
           e.Value_profile.first <- Int64.add e.Value_profile.first 1L;
           Some
             (Printf.sprintf "shift-value: load %d now predicts %Ld" id
@@ -62,9 +61,9 @@ let apply ~(seed : int) (k : kind) (p : Profiles.t) : string option =
       | None -> None)
   | Poison_residue -> (
       let tbl = p.Profiles.residues in
-      match pick rng (sorted_keys tbl) with
+      match pick rng (Idtbl.keys tbl) with
       | Some id ->
-          let e = Hashtbl.find tbl id in
+          let e = Idtbl.find tbl id in
           e.Residue_profile.residues <-
             lnot e.Residue_profile.residues land 0xffff;
           Some

@@ -48,29 +48,29 @@ let of_profiles (p : Profiles.t) : t =
     match func_of_instr id with Some f -> add acc f fact | None -> ()
   in
   (* edge profile *)
-  Hashtbl.iter
-    (fun (tid, dst) n ->
+  Edge_profile.iter_edges
+    (fun tid dst n ->
       match Hashtbl.find_opt ctx.Scaf_cfg.Progctx.index.Scaf_ir.Irmod.Index.term_by_id tid with
       | Some (f, b) ->
           add acc f.Scaf_ir.Func.name
             (Printf.sprintf "edge %s->%s %d" b.Scaf_ir.Block.label dst n)
       | None -> ())
-    p.Profiles.edges.Edge_profile.edges;
-  Hashtbl.iter
-    (fun (f, label) n -> add acc f (Printf.sprintf "block %s %d" label n))
-    p.Profiles.edges.Edge_profile.blocks;
-  Hashtbl.iter
+    p.Profiles.edges;
+  Edge_profile.iter_blocks
+    (fun f label n -> add acc f (Printf.sprintf "block %s %d" label n))
+    p.Profiles.edges;
+  Edge_profile.iter_calls
     (fun f n -> add acc f (Printf.sprintf "func %d" n))
-    p.Profiles.edges.Edge_profile.funcs;
+    p.Profiles.edges;
   (* value profile *)
-  Hashtbl.iter
+  Idtbl.iter
     (fun id (e : Value_profile.entry) ->
       add_instr_fact id
         (Printf.sprintf "value %d %Ld %b %d" id e.Value_profile.first
            e.Value_profile.stable e.Value_profile.count))
     p.Profiles.values;
   (* residue profile *)
-  Hashtbl.iter
+  Idtbl.iter
     (fun id (e : Residue_profile.entry) ->
       add_instr_fact id
         (Printf.sprintf "residue %d %d %d" id e.Residue_profile.residues
@@ -87,33 +87,33 @@ let of_profiles (p : Profiles.t) : t =
       | None -> "*")
       e.Points_to_profile.count
   in
-  Hashtbl.iter
+  Points_to_profile.iter
     (fun id e -> add_instr_fact id (pt_fact "" id e))
-    p.Profiles.points_to.Points_to_profile.by_instr;
-  Hashtbl.iter
-    (fun (id, cc) e ->
+    p.Profiles.points_to;
+  Points_to_profile.iter_ctx
+    (fun id cc e ->
       add_instr_fact id
         (pt_fact
            (Printf.sprintf "@[%s]"
               (String.concat "," (List.map string_of_int cc)))
            id e))
-    p.Profiles.points_to.Points_to_profile.by_instr_ctx;
+    p.Profiles.points_to;
   (* lifetime profile (transient pending/live_oids excluded) *)
-  Hashtbl.iter
-    (fun (lid, site) (rw : Lifetime_profile.rw) ->
+  Lifetime_profile.iter_rw
+    (fun lid site (rw : Lifetime_profile.rw) ->
       add acc (func_of_lid lid)
         (Printf.sprintf "rw %s %s %d %d" lid (pp_site site)
            rw.Lifetime_profile.reads rw.Lifetime_profile.writes))
-    p.Profiles.lifetime.Lifetime_profile.rw;
-  Hashtbl.iter
-    (fun (lid, site) () ->
+    p.Profiles.lifetime;
+  Lifetime_profile.iter_alloc_sites
+    (fun lid site ->
       add acc (func_of_lid lid) (Printf.sprintf "alloc %s %s" lid (pp_site site)))
-    p.Profiles.lifetime.Lifetime_profile.alloc_sites;
-  Hashtbl.iter
-    (fun (lid, site) () ->
+    p.Profiles.lifetime;
+  Lifetime_profile.iter_violated
+    (fun lid site ->
       add acc (func_of_lid lid)
         (Printf.sprintf "violated %s %s" lid (pp_site site)))
-    p.Profiles.lifetime.Lifetime_profile.violated;
+    p.Profiles.lifetime;
   (* memory-dependence profile *)
   Memdep_profile.iter
     (fun lid (src, dst, cross) n ->

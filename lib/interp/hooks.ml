@@ -3,15 +3,18 @@
     Profilers observe execution exclusively through these callbacks; the
     evaluator invokes them with enough context (instruction, resolved
     object, calling context) that no profiler needs to re-implement address
-    resolution. *)
+    resolution. Control-flow events name a function by its {!Code.fn} and
+    blocks by index into it, so a consumer can count by index. *)
 
 open Scaf_ir
 
 type t = {
-  on_block : Func.t -> Block.t -> unit;
+  on_block : Code.fn -> int -> unit;
       (** a block begins executing (after the edge hook) *)
-  on_edge : src_term:int -> src:string -> dst:string -> func:Func.t -> unit;
-      (** a control-flow edge is taken; [src_term] is the terminator id *)
+  on_edge : Code.fn -> src:int -> dst:int -> unit;
+      (** a control-flow edge is taken from block [src] to label [dst]
+          (a label index, see {!Code}: it names no block when the branch
+          is about to trap) *)
   on_load :
     instr:Instr.t ->
     addr:int64 ->
@@ -35,15 +38,15 @@ type t = {
   on_ptr :
     instr:Instr.t -> addr:int64 -> obj:Memory.obj option -> ctx:int list -> unit;
       (** a pointer-producing instruction (gep/alloca/malloc result) *)
-  on_call_enter : Func.t -> ctx:int list -> unit;
+  on_call_enter : Code.fn -> ctx:int list -> unit;
       (** a user-function frame is pushed *)
-  on_call_exit : Func.t -> unit;  (** a user-function frame is popped *)
+  on_call_exit : Code.fn -> unit;  (** a user-function frame is popped *)
 }
 
 let nop : t =
   {
     on_block = (fun _ _ -> ());
-    on_edge = (fun ~src_term:_ ~src:_ ~dst:_ ~func:_ -> ());
+    on_edge = (fun _ ~src:_ ~dst:_ -> ());
     on_load = (fun ~instr:_ ~addr:_ ~size:_ ~value:_ ~obj:_ ~ctx:_ -> ());
     on_store = (fun ~instr:_ ~addr:_ ~size:_ ~value:_ ~obj:_ ~ctx:_ -> ());
     on_alloc = (fun ~obj:_ -> ());

@@ -47,6 +47,9 @@ type t = {
           dedup below *)
   written : (int * int, unit) Hashtbl.t;
       (** (epoch, oid) pairs whose old bytes are already journaled *)
+  mutable last : obj;
+      (** the object the last resolved address fell in: accesses cluster,
+          so it is checked before the address map *)
 }
 
 (** A position in the undo log plus the allocation cursors, so rollback
@@ -61,6 +64,19 @@ exception Trap of string
 
 let trap fmt = Fmt.kstr (fun s -> raise (Trap s)) fmt
 
+(* an object no address falls in *)
+let no_obj =
+  {
+    oid = -1;
+    base = 0L;
+    size = 0;
+    kind = KGlobal "";
+    ctx = [];
+    data = Bytes.empty;
+    live = false;
+    heap_tag = 0;
+  }
+
 let create () =
   {
     next_base = 0x10000L;
@@ -71,6 +87,7 @@ let create () =
     journaling = false;
     epoch = 0;
     written = Hashtbl.create 64;
+    last = no_obj;
   }
 
 (* ---- checkpoint journal ---- *)
@@ -120,6 +137,8 @@ let undo_to (t : t) (m : mark) : unit =
         go rest
   in
   t.journal <- go t.journal;
+  (* the cached object may be one the rollback removed *)
+  t.last <- no_obj;
   t.next_base <- m.m_next_base;
   t.next_oid <- m.m_next_oid;
   t.epoch <- t.epoch + 1
@@ -152,27 +171,55 @@ let alloc (t : t) ~(size : int) ~(kind : obj_kind) ~(ctx : int list) : obj =
   if t.journaling then t.journal <- JAlloc o :: t.journal;
   o
 
-(** [find_addr t a] resolves address [a] to [(object, offset)]. Traps on
-    wild or dangling pointers. *)
-let find_addr (t : t) (a : int64) : obj * int =
-  match Addr_map.find_last_opt (fun b -> Int64.compare b a <= 0) t.by_base with
-  | None -> trap "wild pointer 0x%Lx" a
-  | Some (_, o) ->
-      let off = Int64.to_int (Int64.sub a o.base) in
-      if off >= o.size then trap "pointer 0x%Lx past object %d" a o.oid
-      else if not o.live then trap "use of freed object %d" o.oid
-      else (o, off)
+(** [offset o a] is address [a]'s offset into [o]. *)
+let offset (o : obj) (a : int64) : int = Int64.to_int (Int64.sub a o.base)
 
-let find_addr_opt (t : t) (a : int64) : (obj * int) option =
+(* Does [a] fall inside the cached object while it is live? Objects never
+   overlap, so then that is also the object with the greatest base at or
+   below [a]. *)
+let in_cached (t : t) (a : int64) : bool =
+  let o = t.last in
+  let off = Int64.sub a o.base in
+  Int64.compare off 0L >= 0
+  && Int64.compare off (Int64.of_int o.size) < 0
+  && o.live
+
+let find_in_map (t : t) (a : int64) : obj option =
   match Addr_map.find_last_opt (fun b -> Int64.compare b a <= 0) t.by_base with
-  | Some (_, o) ->
-      let off = Int64.to_int (Int64.sub a o.base) in
-      if off < o.size && o.live then Some (o, off) else None
+  | Some (_, o) -> Some o
   | None -> None
 
+(** [locate t a] is the live object holding address [a]. Traps on wild or
+    dangling pointers. *)
+let locate (t : t) (a : int64) : obj =
+  if in_cached t a then t.last
+  else
+    match find_in_map t a with
+    | None -> trap "wild pointer 0x%Lx" a
+    | Some o ->
+        if offset o a >= o.size then trap "pointer 0x%Lx past object %d" a o.oid
+        else if not o.live then trap "use of freed object %d" o.oid
+        else begin
+          t.last <- o;
+          o
+        end
+
+(** [locate_opt t a] is the live object holding [a], if any. *)
+let locate_opt (t : t) (a : int64) : obj option =
+  if in_cached t a then Some t.last
+  else
+    match find_in_map t a with
+    | Some o ->
+        if offset o a < o.size && o.live then begin
+          t.last <- o;
+          Some o
+        end
+        else None
+    | None -> None
+
 let free (t : t) (a : int64) : obj =
-  let o, off = find_addr t a in
-  if off <> 0 then trap "free of interior pointer 0x%Lx" a;
+  let o = locate t a in
+  if Int64.compare a o.base <> 0 then trap "free of interior pointer 0x%Lx" a;
   (match o.kind with
   | KHeap _ -> ()
   | _ -> trap "free of non-heap object %d" o.oid);
@@ -180,14 +227,13 @@ let free (t : t) (a : int64) : obj =
   o.live <- false;
   o
 
-(** [access t op a size] resolves the [size] bytes at [a] to their object
-    and offset, trapping (in the words of [op]) unless they lie in one
-    live object. *)
-let access (t : t) (op : string) (a : int64) (size : int) : obj * int =
-  let o, off = find_addr t a in
-  if off + size > o.size then
+(** [access t op a size] is the object holding the [size] bytes at [a],
+    trapping (in the words of [op]) unless they lie in one live object. *)
+let access (t : t) (op : string) (a : int64) (size : int) : obj =
+  let o = locate t a in
+  if offset o a + size > o.size then
     trap "%s of %d bytes at 0x%Lx overruns object %d" op size a o.oid;
-  (o, off)
+  o
 
 (** [read o off size] reads [size] bytes little-endian as a sign-agnostic
     integer (zero-extended). *)
@@ -209,12 +255,12 @@ let write (t : t) (o : obj) (off : int) (size : int) (value : int64) : unit =
   done
 
 let load (t : t) (a : int64) (size : int) : int64 =
-  let o, off = access t "load" a size in
-  read o off size
+  let o = access t "load" a size in
+  read o (offset o a) size
 
 let store (t : t) (a : int64) (size : int) (value : int64) : unit =
-  let o, off = access t "store" a size in
-  write t o off size value
+  let o = access t "store" a size in
+  write t o (offset o a) size value
 
 let memcpy (t : t) ~(dst : int64) ~(src : int64) ~(len : int) : unit =
   for k = 0 to len - 1 do

@@ -156,8 +156,8 @@ let check_residue (t : t) ~(addr : int64) ~(allowed : int64) ~(tag : int64) :
 let check_heap (t : t) ~(addr : int64) ~(heap_tag : int) ~(tag : int64) : unit
     =
   t.cheap_checks <- t.cheap_checks + 1;
-  match Memory.find_addr_opt t.mem addr with
-  | Some (o, _) when o.Memory.heap_tag = heap_tag -> ()
+  match Memory.locate_opt t.mem addr with
+  | Some o when o.Memory.heap_tag = heap_tag -> ()
   | _ -> if not (tag_disabled t tag) then misspec ~tag
 
 (** Inverse heap check: misspeculate when the object holding [addr] *is* in
@@ -165,16 +165,16 @@ let check_heap (t : t) ~(addr : int64) ~(heap_tag : int) ~(tag : int64) : unit
 let check_not_heap (t : t) ~(addr : int64) ~(heap_tag : int) ~(tag : int64) :
     unit =
   t.cheap_checks <- t.cheap_checks + 1;
-  match Memory.find_addr_opt t.mem addr with
-  | Some (o, _) when o.Memory.heap_tag = heap_tag ->
+  match Memory.locate_opt t.mem addr with
+  | Some o when o.Memory.heap_tag = heap_tag ->
       if not (tag_disabled t tag) then misspec ~tag
   | _ -> ()
 
 (** Move the object holding [addr] to logical heap [heap_tag] — the runtime
     effect of re-allocating it to a separate heap at its allocation site. *)
 let set_heap (t : t) ~(addr : int64) ~(heap_tag : int) : unit =
-  match Memory.find_addr_opt t.mem addr with
-  | Some (o, _) ->
+  match Memory.locate_opt t.mem addr with
+  | Some o ->
       Memory.set_heap_tag t.mem o heap_tag;
       let c =
         match Hashtbl.find_opt t.tag_live heap_tag with

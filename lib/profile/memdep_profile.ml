@@ -140,62 +140,98 @@ let bump (tbl : int ref Itbl.t) k n =
 (* Record [n] bytes' worth of dependence from [src] to [dst] in every loop
    invocation both accesses executed in: for each scope of [dst], through
    [src]'s innermost scope of the same loop. *)
-let add_dep (src : access) (dst : access) (n : int) =
-  if src.scopes == dst.scopes then
-    List.iter
-      (fun d ->
-        if d.self >= 0 then
-          bump d.tbl (key ~src:src.instr ~dst:dst.instr ~cross:(d.self = 1)) n)
-      dst.scopes
-  else
-    List.iter
-      (fun d ->
-        match List.find_opt (fun s -> String.equal s.lid d.lid) src.scopes with
-        | Some s when s.inv = d.inv ->
-            bump d.tbl
-              (key ~src:src.instr ~dst:dst.instr ~cross:(d.iter <> s.iter))
-              n
-        | _ -> ())
-      dst.scopes
+let rec add_self src dst n = function
+  | [] -> ()
+  | d :: tl ->
+      if d.self >= 0 then
+        bump d.tbl (key ~src:src.instr ~dst:dst.instr ~cross:(d.self = 1)) n;
+      add_self src dst n tl
 
-(* Walk the bytes [addr, addr + size) as runs of bytes sharing their
-   writer and readers, never crossing a page; [f pg i n] handles the run
-   of [n] bytes from slot [i] of [pg]. *)
-let runs (r : recorder) (addr : int64) (size : int)
-    (f : page -> int -> int -> unit) =
-  let a = ref (Int64.to_int addr) and stop = Int64.to_int addr + size in
-  while !a < stop do
-    let pg = page r (!a lsr 4) and i = !a land 15 in
-    let lim = min 16 (i + stop - !a) in
-    let w = pg.writer.(i) and rs = pg.readers.(i) in
-    let j = ref (i + 1) in
-    while !j < lim && pg.writer.(!j) == w && pg.readers.(!j) == rs do
-      incr j
-    done;
-    f pg i (!j - i);
-    a := !a + !j - i
-  done
+(* through [src]'s innermost scope of [d]'s loop, if it shares [d]'s
+   invocation; loop ids come from the loop records, so they are usually
+   physically equal *)
+let rec through (ss : scope list) (src : access) (dst : access) n (d : scope) =
+  match ss with
+  | [] -> ()
+  | s :: tl ->
+      if s.lid == d.lid || String.equal s.lid d.lid then begin
+        if s.inv = d.inv then
+          bump d.tbl
+            (key ~src:src.instr ~dst:dst.instr ~cross:(d.iter <> s.iter))
+            n
+      end
+      else through tl src dst n d
+
+let rec add_through src dst n = function
+  | [] -> ()
+  | d :: tl ->
+      through src.scopes src dst n d;
+      add_through src dst n tl
+
+let add_dep (src : access) (dst : access) (n : int) =
+  if src.scopes == dst.scopes then add_self src dst n dst.scopes
+  else add_through src dst n dst.scopes
+
+let rec add_deps_from readers dst n =
+  match readers with
+  | [] -> ()
+  | rd :: tl ->
+      add_dep rd dst n;
+      add_deps_from tl dst n
+
+(* [l] without its access of [instr] (at most one), sharing what it can *)
+let rec without (instr : int) (l : access list) : access list =
+  match l with
+  | [] -> l
+  | rd :: tl ->
+      if rd.instr = instr then tl
+      else
+        let tl' = without instr tl in
+        if tl' == tl then l else rd :: tl'
+
+(* The length of the run of bytes from slot [i] of [pg], below [lim],
+   sharing their writer and readers. *)
+let run_length (pg : page) (i : int) (lim : int) : int =
+  let w = pg.writer.(i) and rs = pg.readers.(i) in
+  let j = ref (i + 1) in
+  while !j < lim && pg.writer.(!j) == w && pg.readers.(!j) == rs do
+    incr j
+  done;
+  !j - i
+
+(* Both recorders walk the bytes [addr, addr + size) as runs of bytes
+   sharing their writer and readers, never crossing a page; each run's
+   dependences are counted once, by its length. *)
 
 let record_store (r : recorder) ~(instr : int) ~(addr : int64) ~(size : int)
     ~(snap : (string * int * int) list) =
   let acc = { instr; scopes = scopes r snap } in
-  runs r addr size (fun pg i n ->
-      (* anti dependences: every reader since the last write *)
-      List.iter (fun rd -> add_dep rd acc n) pg.readers.(i);
-      (* output dependence: the previous writer *)
-      let w = pg.writer.(i) in
-      if w != no_access then add_dep w acc n;
-      Array.fill pg.writer i n acc;
-      Array.fill pg.readers i n [])
+  let a = ref (Int64.to_int addr) and stop = Int64.to_int addr + size in
+  while !a < stop do
+    let pg = page r (!a lsr 4) and i = !a land 15 in
+    let n = run_length pg i (min 16 (i + stop - !a)) in
+    (* anti dependences: every reader since the last write *)
+    add_deps_from pg.readers.(i) acc n;
+    (* output dependence: the previous writer *)
+    let w = pg.writer.(i) in
+    if w != no_access then add_dep w acc n;
+    Array.fill pg.writer i n acc;
+    Array.fill pg.readers i n [];
+    a := !a + n
+  done
 
 let record_load (r : recorder) ~(instr : int) ~(addr : int64) ~(size : int)
     ~(snap : (string * int * int) list) =
   let acc = { instr; scopes = scopes r snap } in
-  runs r addr size (fun pg i n ->
-      (* flow dependence from the last writer *)
-      let w = pg.writer.(i) in
-      if w != no_access then add_dep w acc n;
-      (* keep the most recent access per reading instruction (standard
-         last-reader practice in dependence profilers) *)
-      let rs = acc :: List.filter (fun rd -> rd.instr <> instr) pg.readers.(i) in
-      Array.fill pg.readers i n rs)
+  let a = ref (Int64.to_int addr) and stop = Int64.to_int addr + size in
+  while !a < stop do
+    let pg = page r (!a lsr 4) and i = !a land 15 in
+    let n = run_length pg i (min 16 (i + stop - !a)) in
+    (* flow dependence from the last writer *)
+    let w = pg.writer.(i) in
+    if w != no_access then add_dep w acc n;
+    (* keep the most recent access per reading instruction (standard
+       last-reader practice in dependence profilers) *)
+    Array.fill pg.readers i n (acc :: without instr pg.readers.(i));
+    a := !a + n
+  done

@@ -7,17 +7,38 @@ open Scaf_cfg
 open Scaf_interp
 
 (* Per-run transient state must not leak across runs (interpreter
-   addresses are reused between runs) nor outlive profiling: nothing reads
-   it afterwards. *)
+   addresses and object ids are reused between runs) nor outlive
+   profiling: nothing reads it afterwards. *)
 let end_run (p : Profiles.t) =
   Time_profile.flush p.Profiles.time;
-  Hashtbl.reset p.Profiles.lifetime.Lifetime_profile.pending;
-  Hashtbl.reset p.Profiles.lifetime.Lifetime_profile.live_oids
+  Lifetime_profile.end_run p.Profiles.lifetime
 
 let hooks_for (p : Profiles.t) (tracker : Tracker.t) : Hooks.t =
   let memdep = Memdep_profile.recorder p.Profiles.memdep in
   let lifetime = p.Profiles.lifetime in
   let time = p.Profiles.time in
+  let edges = p.Profiles.edges in
+  (* this run's objects -> interned site id; an allocation re-interns
+     its object id, which a rollback may reuse *)
+  let obj_sites : int Idtbl.t = Idtbl.create () in
+  let intern (o : Memory.obj) =
+    let sid = Lifetime_profile.intern lifetime (Site.of_obj o) in
+    Idtbl.replace obj_sites o.Memory.oid sid;
+    sid
+  in
+  let site_id (o : Memory.obj) =
+    match Idtbl.find_opt obj_sites o.Memory.oid with
+    | Some sid -> sid
+    | None -> intern o
+  in
+  let points_to ~instr ~obj ~addr ~size ~ctx =
+    let sid = site_id obj in
+    Points_to_profile.record p.Profiles.points_to ~instr
+      ~site:(Lifetime_profile.site lifetime sid)
+      ~off:(Memory.offset obj addr)
+      ~size ~ctx;
+    sid
+  in
   (* loop lifecycle listeners *)
   Tracker.add_enter_listener tracker (fun a ->
       Time_profile.record_invocation time ~lid:a.Tracker.lid);
@@ -31,54 +52,47 @@ let hooks_for (p : Profiles.t) (tracker : Tracker.t) : Hooks.t =
       Lifetime_profile.iteration_boundary lifetime ~lid:a.Tracker.lid
         ~invocation:a.Tracker.invocation);
   {
-    Hooks.on_block =
-      (fun f b ->
-        Edge_profile.record_block p.Profiles.edges ~func:f.Func.name
-          ~label:b.Block.label);
+    Hooks.on_block = (fun fn b -> Edge_profile.record_block edges fn b);
     on_edge =
-      (fun ~src_term ~src:_ ~dst ~func ->
-        Edge_profile.record_edge p.Profiles.edges ~src_term ~dst;
-        Tracker.edge tracker ~func:func.Func.name ~dst);
+      (fun fn ~src ~dst ->
+        Edge_profile.record_edge edges fn ~src ~dst;
+        Tracker.edge tracker fn ~dst);
     on_call_enter =
-      (fun f ~ctx:_ ->
-        Edge_profile.record_call p.Profiles.edges ~func:f.Func.name;
-        Tracker.call_enter tracker f.Func.name);
+      (fun fn ~ctx:_ ->
+        Edge_profile.record_call edges fn;
+        Tracker.call_enter tracker fn);
     on_call_exit = (fun _ -> Tracker.call_exit tracker);
     on_instr = (fun _ -> Time_profile.record_instr time (Tracker.actives tracker));
     on_load =
       (fun ~instr ~addr ~size ~value ~obj ~ctx ->
-        let id = instr.Instr.id and snap = Tracker.snapshot tracker in
+        let id = instr.Instr.id in
         Value_profile.record p.Profiles.values ~load:id ~value;
         Residue_profile.record p.Profiles.residues ~access:id ~addr;
-        Memdep_profile.record_load memdep ~instr:id ~addr ~size ~snap;
-        let off = Int64.to_int (Int64.sub addr obj.Memory.base) in
-        Points_to_profile.record p.Profiles.points_to ~instr:id ~obj ~off ~size
-          ~ctx;
-        Lifetime_profile.record_access lifetime ~site:(Site.of_obj obj)
-          ~write:false ~snap);
+        Memdep_profile.record_load memdep ~instr:id ~addr ~size
+          ~snap:(Tracker.snapshot tracker);
+        let site = points_to ~instr:id ~obj ~addr ~size ~ctx in
+        Lifetime_profile.record_access lifetime ~site ~write:false
+          ~lids:(Tracker.lids tracker));
     on_store =
       (fun ~instr ~addr ~size ~value:_ ~obj ~ctx ->
-        let id = instr.Instr.id and snap = Tracker.snapshot tracker in
+        let id = instr.Instr.id in
         Residue_profile.record p.Profiles.residues ~access:id ~addr;
-        Memdep_profile.record_store memdep ~instr:id ~addr ~size ~snap;
-        let off = Int64.to_int (Int64.sub addr obj.Memory.base) in
-        Points_to_profile.record p.Profiles.points_to ~instr:id ~obj ~off ~size
-          ~ctx;
-        Lifetime_profile.record_access lifetime ~site:(Site.of_obj obj)
-          ~write:true ~snap);
+        Memdep_profile.record_store memdep ~instr:id ~addr ~size
+          ~snap:(Tracker.snapshot tracker);
+        let site = points_to ~instr:id ~obj ~addr ~size ~ctx in
+        Lifetime_profile.record_access lifetime ~site ~write:true
+          ~lids:(Tracker.lids tracker));
     on_ptr =
       (fun ~instr ~addr ~obj ~ctx ->
         Residue_profile.record p.Profiles.residues ~access:instr.Instr.id ~addr;
         match obj with
         | Some o ->
-            let off = Int64.to_int (Int64.sub addr o.Memory.base) in
-            Points_to_profile.record p.Profiles.points_to ~instr:instr.Instr.id
-              ~obj:o ~off ~size:1 ~ctx
+            ignore (points_to ~instr:instr.Instr.id ~obj:o ~addr ~size:1 ~ctx)
         | None -> ());
     on_alloc =
       (fun ~obj ->
         Lifetime_profile.record_alloc lifetime ~oid:obj.Memory.oid
-          ~site:(Site.of_obj obj) ~snap:(Tracker.snapshot tracker));
+          ~site:(intern obj) ~snap:(Tracker.snapshot tracker));
     on_free =
       (fun ~obj -> Lifetime_profile.record_free lifetime ~oid:obj.Memory.oid);
   }

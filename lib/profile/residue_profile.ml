@@ -5,15 +5,15 @@
 
 type entry = { mutable residues : int  (** 16-bit set *); mutable count : int }
 
-type t = (int, entry) Hashtbl.t
+type t = entry Idtbl.t
 (** keyed by memory-access instruction id *)
 
-let create () : t = Hashtbl.create 128
+let create () : t = Idtbl.create ()
 
 let record (t : t) ~(access : int) ~(addr : int64) =
   let r = Int64.to_int (Int64.logand addr 15L) in
-  match Hashtbl.find_opt t access with
-  | None -> Hashtbl.replace t access { residues = 1 lsl r; count = 1 }
+  match Idtbl.find_opt t access with
+  | None -> Idtbl.replace t access { residues = 1 lsl r; count = 1 }
   | Some e ->
       e.residues <- e.residues lor (1 lsl r);
       e.count <- e.count + 1
@@ -21,12 +21,12 @@ let record (t : t) ~(access : int) ~(addr : int64) =
 (** [residue_set t access] is the observed 16-bit residue set, or [None] if
     the access never executed during profiling. *)
 let residue_set (t : t) (access : int) : int option =
-  match Hashtbl.find_opt t access with
+  match Idtbl.find_opt t access with
   | Some e when e.count > 0 -> Some e.residues
   | _ -> None
 
 let exec_count (t : t) (access : int) : int =
-  match Hashtbl.find_opt t access with Some e -> e.count | None -> 0
+  match Idtbl.find_opt t access with Some e -> e.count | None -> 0
 
 (** [expand set size] widens a residue set to cover [size] bytes from each
     member (mod 16), i.e. the set of residues the access may *touch*. *)

@@ -50,3 +50,37 @@ module Set = Set.Make (struct
 
   let compare = compare
 end)
+
+(** Interned sites: one physical {!t} and one dense id per distinct site,
+    so per-site tables can be keyed by int. *)
+module Intern = struct
+  type site = t
+
+  type t = {
+    ids : (site, int) Hashtbl.t;
+    mutable sites : site array;  (** id -> the interned site *)
+  }
+
+  let create () : t = { ids = Hashtbl.create 64; sites = [||] }
+
+  (** [id t s] is [s]'s id, interning it first if it is new. *)
+  let id (t : t) (s : site) : int =
+    match Hashtbl.find_opt t.ids s with
+    | Some i -> i
+    | None ->
+        let i = Hashtbl.length t.ids in
+        Hashtbl.replace t.ids s i;
+        if i >= Array.length t.sites then begin
+          let a = Array.make (max 16 (2 * i)) s in
+          Array.blit t.sites 0 a 0 i;
+          t.sites <- a
+        end;
+        t.sites.(i) <- s;
+        i
+
+  (** [find t s] is [s]'s id if [s] was ever interned. *)
+  let find (t : t) (s : site) : int option = Hashtbl.find_opt t.ids s
+
+  (** [site t i] is the interned site with id [i]. *)
+  let site (t : t) (i : int) : site = t.sites.(i)
+end

@@ -4,31 +4,38 @@
     loops with >= 10% of total execution time and >= 50 iterations per
     invocation on average. *)
 
+type counts = {
+  mutable instrs : int;  (** executed while the loop was active *)
+  mutable iterations : int;
+  mutable invocations : int;
+}
+
 type t = {
-  per_loop : (string, int) Hashtbl.t;
-  iterations : (string, int) Hashtbl.t;
-  invocations : (string, int) Hashtbl.t;
+  loops : (string, counts) Hashtbl.t;
   mutable total : int;
   mutable under : Tracker.active list;
       (** the loops the [pending] instructions ran under *)
-  mutable pending : int;  (** instructions not yet added to [per_loop] *)
+  mutable pending : int;  (** instructions not yet added to [loops] *)
 }
 
 let create () : t =
   {
-    per_loop = Hashtbl.create 32;
-    iterations = Hashtbl.create 32;
-    invocations = Hashtbl.create 32;
+    loops = Hashtbl.create 32;
     total = 0;
     under = [];
     pending = 0;
   }
 
-let bump tbl key n =
-  Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+let counts (t : t) (lid : string) : counts =
+  match Hashtbl.find_opt t.loops lid with
+  | Some c -> c
+  | None ->
+      let c = { instrs = 0; iterations = 0; invocations = 0 } in
+      Hashtbl.replace t.loops lid c;
+      c
 
 (** Add the pending instructions to their loops. Call at the end of every
-    run, before reading [per_loop]. *)
+    run, before reading the instruction counts. *)
 let flush (t : t) =
   (* A loop can appear once per frame; attribute once per distinct lid. *)
   let rec go seen = function
@@ -36,7 +43,8 @@ let flush (t : t) =
     | (a : Tracker.active) :: tl ->
         if List.mem a.Tracker.lid seen then go seen tl
         else begin
-          bump t.per_loop a.Tracker.lid t.pending;
+          let c = counts t a.Tracker.lid in
+          c.instrs <- c.instrs + t.pending;
           go (a.Tracker.lid :: seen) tl
         end
   in
@@ -54,29 +62,41 @@ let record_instr (t : t) (actives : Tracker.active list) =
   end;
   t.pending <- t.pending + 1
 
-let record_iteration (t : t) ~(lid : string) = bump t.iterations lid 1
-let record_invocation (t : t) ~(lid : string) = bump t.invocations lid 1
+let record_iteration (t : t) ~(lid : string) =
+  let c = counts t lid in
+  c.iterations <- c.iterations + 1
+
+let record_invocation (t : t) ~(lid : string) =
+  let c = counts t lid in
+  c.invocations <- c.invocations + 1
+
+let get (t : t) (lid : string) (f : counts -> int) : int =
+  match Hashtbl.find_opt t.loops lid with Some c -> f c | None -> 0
+
+(** Instructions executed while [lid] was active. *)
+let instructions (t : t) ~(lid : string) : int = get t lid (fun c -> c.instrs)
+
+let iterations (t : t) ~(lid : string) : int = get t lid (fun c -> c.iterations)
+let invocations (t : t) ~(lid : string) : int = get t lid (fun c -> c.invocations)
 
 let time_fraction (t : t) ~(lid : string) : float =
   if t.total = 0 then 0.0
-  else
-    float_of_int (Option.value ~default:0 (Hashtbl.find_opt t.per_loop lid))
-    /. float_of_int t.total
+  else float_of_int (instructions t ~lid) /. float_of_int t.total
 
 let avg_iterations (t : t) ~(lid : string) : float =
-  let iters = Option.value ~default:0 (Hashtbl.find_opt t.iterations lid) in
-  let invs = Option.value ~default:0 (Hashtbl.find_opt t.invocations lid) in
+  let iters = iterations t ~lid and invs = invocations t ~lid in
   if invs = 0 then 0.0 else float_of_int iters /. float_of_int invs
 
 (** Hot loops per the paper's selection rule. *)
 let hot_loops ?(min_fraction = 0.10) ?(min_avg_iters = 50.0) (t : t) :
     string list =
   Hashtbl.fold
-    (fun lid _ acc ->
+    (fun lid c acc ->
       if
-        time_fraction t ~lid >= min_fraction
+        c.instrs > 0
+        && time_fraction t ~lid >= min_fraction
         && avg_iterations t ~lid >= min_avg_iters
       then lid :: acc
       else acc)
-    t.per_loop []
+    t.loops []
   |> List.sort String.compare

@@ -8,14 +8,14 @@ type entry = {
   mutable count : int;
 }
 
-type t = (int, entry) Hashtbl.t
+type t = entry Idtbl.t
 (** keyed by load instruction id *)
 
-let create () : t = Hashtbl.create 128
+let create () : t = Idtbl.create ()
 
 let record (t : t) ~(load : int) ~(value : int64) =
-  match Hashtbl.find_opt t load with
-  | None -> Hashtbl.replace t load { first = value; stable = true; count = 1 }
+  match Idtbl.find_opt t load with
+  | None -> Idtbl.replace t load { first = value; stable = true; count = 1 }
   | Some e ->
       e.count <- e.count + 1;
       if not (Int64.equal e.first value) then e.stable <- false
@@ -23,9 +23,9 @@ let record (t : t) ~(load : int) ~(value : int64) =
 (** [predictable t load] is [Some (value, exec_count)] when every profiled
     execution of [load] produced [value]. *)
 let predictable (t : t) (load : int) : (int64 * int) option =
-  match Hashtbl.find_opt t load with
+  match Idtbl.find_opt t load with
   | Some e when e.stable && e.count > 0 -> Some (e.first, e.count)
   | _ -> None
 
 let exec_count (t : t) (load : int) : int =
-  match Hashtbl.find_opt t load with Some e -> e.count | None -> 0
+  match Idtbl.find_opt t load with Some e -> e.count | None -> 0

@@ -22,10 +22,7 @@ let sl_sites (profiles : Profiles.t) (lid : string) : Site.t list =
 
 let assertions_for (profiles : Profiles.t) ~(lid : string) ~(site : Site.t)
     ~(guards : int list) : Assertion.t list =
-  let iters =
-    Option.value ~default:0
-      (Hashtbl.find_opt profiles.Profiles.time.Time_profile.iterations lid)
-  in
+  let iters = Time_profile.iterations profiles.Profiles.time ~lid in
   let guard_cost =
     List.fold_left
       (fun acc g ->

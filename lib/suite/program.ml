@@ -89,7 +89,7 @@ let profiles (t : t) : Scaf_profile.Profiles.t =
   match t.profiles_memo with
   | Some (e, p) when e = t.epoch -> p
   | _ ->
-      let p = Scaf_profile.Profiler.profile_module ~inputs:t.train_inputs t.m in
+      let p = Scaf_profile.Profiler.profile ~inputs:t.train_inputs (ctx t) in
       t.profiles_memo <- Some (t.epoch, p);
       p
 

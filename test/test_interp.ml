@@ -273,7 +273,7 @@ let test_hooks_counts () =
       on_store =
         (fun ~instr:_ ~addr:_ ~size:_ ~value:_ ~obj:_ ~ctx:_ -> incr stores);
       on_block = (fun _ _ -> incr blocks);
-      on_edge = (fun ~src_term:_ ~src:_ ~dst:_ ~func:_ -> incr edges);
+      on_edge = (fun _ ~src:_ ~dst:_ -> incr edges);
       on_alloc = (fun ~obj:_ -> incr allocs);
     }
   in
@@ -549,6 +549,124 @@ let prop_memory_byte_roundtrip =
       in
       Int64.equal back (Int64.logand v mask))
 
+(* qcheck: [Memory.locate]/[locate_opt]/[access] answer, and trap, as a
+   plain address-map lookup does, across allocation, free, frame kills and
+   rollbacks *)
+type mem_op =
+  | Alloc of int * bool  (** size, heap *)
+  | Free of int * int  (** object, offset *)
+  | Kill of int
+  | Mark
+  | Undo
+  | Probe of int * int  (** object, offset *)
+  | Access of int * int * int  (** object, offset, size *)
+  | Wild of int
+
+let arb_mem_ops =
+  let open QCheck in
+  let obj = Gen.int_range 0 1000 and off = Gen.int_range (-24) 72 in
+  let op =
+    Gen.frequency
+      [
+        (3, Gen.map2 (fun n h -> Alloc (n, h)) (Gen.int_range 1 64) Gen.bool);
+        (1, Gen.map2 (fun o k -> Free (o, k)) obj (Gen.oneofl [ 0; 0; 8 ]));
+        (1, Gen.map (fun o -> Kill o) obj);
+        (1, Gen.return Mark);
+        (1, Gen.return Undo);
+        (6, Gen.map2 (fun o k -> Probe (o, k)) obj off);
+        (3, Gen.map3 (fun o k n -> Access (o, k, n)) obj off (Gen.int_range 1 8));
+        (1, Gen.map (fun a -> Wild a) (Gen.int_range 0 0x20000));
+      ]
+  in
+  make
+    ~print:(fun l -> Printf.sprintf "%d ops" (List.length l))
+    Gen.(list_size (int_range 1 200) op)
+
+(* the lookup [Memory.locate] must agree with *)
+let reference_locate (m : Memory.t) (a : int64) : (Memory.obj, string) result =
+  match
+    Memory.Addr_map.find_last_opt
+      (fun b -> Int64.compare b a <= 0)
+      m.Memory.by_base
+  with
+  | None -> Error (Printf.sprintf "wild pointer 0x%Lx" a)
+  | Some (_, o) ->
+      if Memory.offset o a >= o.Memory.size then
+        Error (Printf.sprintf "pointer 0x%Lx past object %d" a o.Memory.oid)
+      else if not o.Memory.live then
+        Error (Printf.sprintf "use of freed object %d" o.Memory.oid)
+      else Ok o
+
+let prop_locate_matches_map =
+  QCheck.Test.make ~name:"memory lookup = address-map lookup" ~count:300
+    arb_mem_ops (fun ops ->
+      let m = Memory.create () in
+      let all = ref [||] and marks = ref [] in
+      let pick k = !all.(k mod Array.length !all) in
+      let addr k off =
+        Int64.add (pick k).Memory.base (Int64.of_int off)
+      in
+      let same r r' =
+        match (r, r') with
+        | Ok o, Ok o' -> o == o'
+        | Error s, Error s' -> String.equal s s'
+        | _ -> false
+      in
+      let trapping f = match f () with o -> Ok o | exception Memory.Trap s -> Error s in
+      let check a =
+        let r = reference_locate m a in
+        same (trapping (fun () -> Memory.locate m a)) r
+        && (match (Memory.locate_opt m a, r) with
+           | Some o, Ok o' -> o == o'
+           | None, Error _ -> true
+           | _ -> false)
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | Alloc (size, heap) ->
+              let kind = if heap then Memory.KHeap 0 else Memory.KStack 0 in
+              let o = Memory.alloc m ~size ~kind ~ctx:[] in
+              all := Array.append !all [| o |];
+              true
+          | _ when Array.length !all = 0 -> true
+          | Free (k, off) ->
+              (try ignore (Memory.free m (addr k off)) with Memory.Trap _ -> ());
+              true
+          | Kill k ->
+              let o = pick k in
+              (* only objects still allocated: rollback drops the others *)
+              (match Hashtbl.find_opt m.Memory.objects o.Memory.oid with
+              | Some o' when o' == o -> Memory.kill m o
+              | _ -> ());
+              true
+          | Mark ->
+              if List.is_empty !marks then Memory.set_journaling m true;
+              marks := Memory.mark m :: !marks;
+              true
+          | Undo -> (
+              match !marks with
+              | mk :: rest ->
+                  Memory.undo_to m mk;
+                  marks := rest;
+                  if List.is_empty rest then Memory.set_journaling m false;
+                  true
+              | [] -> true)
+          | Probe (k, off) -> check (addr k off)
+          | Access (k, off, size) ->
+              let a = addr k off in
+              let expect =
+                match reference_locate m a with
+                | Ok o when Memory.offset o a + size > o.Memory.size ->
+                    Error
+                      (Printf.sprintf "load of %d bytes at 0x%Lx overruns object %d"
+                         size a o.Memory.oid)
+                | r -> r
+              in
+              same (trapping (fun () -> Memory.access m "load" a size)) expect
+          | Wild a -> check (Int64.of_int a))
+        ops)
+
 let suite =
   [
     ( "interp",
@@ -589,5 +707,6 @@ let suite =
           test_runtime_memspec_same_group_ok;
         QCheck_alcotest.to_alcotest prop_arith_matches_ocaml;
         QCheck_alcotest.to_alcotest prop_memory_byte_roundtrip;
+        QCheck_alcotest.to_alcotest prop_locate_matches_map;
       ] );
   ]

@@ -536,6 +536,60 @@ exit:
   checkb "main loop fraction > 0.9" true
     (Time_profile.time_fraction p.Profiles.time ~lid:"main:loop" > 0.9)
 
+(* A function of [n] blocks in a chain, each run once: label queries and
+   the edit-path fingerprint must stay linear in the blocks (a label scan
+   per query made them quadratic). *)
+let test_many_blocks () =
+  let n = 40_000 in
+  let b = Buffer.create (n * 16) in
+  Buffer.add_string b "func @main() {\nentry:\n  br b0\n";
+  for k = 0 to n - 1 do
+    Printf.bprintf b "b%d:\n  br b%d\n" k (k + 1)
+  done;
+  Printf.bprintf b "b%d:\n  ret\n}\n" n;
+  (* profiled without [Verify]: only the profiles are under test *)
+  let p = Profiler.profile_module (Parser.parse_exn_msg (Buffer.contents b)) in
+  let t0 = Sys.time () in
+  let fp = Scaf_incremental.Fingerprint.of_profiles p in
+  let dead = ref 0 in
+  for k = 0 to n do
+    if
+      Edge_profile.spec_dead p.Profiles.edges ~func:"main"
+        ~label:(Printf.sprintf "b%d" k)
+    then incr dead
+  done;
+  let dt = Sys.time () -. t0 in
+  checki "no block dead" 0 !dead;
+  checki "middle block ran once" 1
+    (Edge_profile.block_count p.Profiles.edges ~func:"main" ~label:"b20000");
+  let block_facts =
+    List.filter
+      (fun f -> String.starts_with ~prefix:"block " f)
+      (Option.value ~default:[] (Hashtbl.find_opt fp "main"))
+  in
+  checki "one block fact per block" (n + 2) (List.length block_facts);
+  if dt > 1.0 then
+    Alcotest.failf "fingerprint and block queries took %.2f s of CPU for %d blocks"
+      dt n
+
+(* Blocks sharing a label (which [Verify] rejects, but profiling never
+   checks) are counted and forgotten together; a branch reaches the first. *)
+let test_duplicate_labels () =
+  let src =
+    "func @main() {\nentry:\n  br a\na:\n  br b\nb:\n  ret\na:\n  br b\n}\n"
+  in
+  let p = Profiler.profile_module (Parser.parse_exn_msg src) in
+  let edges = p.Profiles.edges in
+  checki "a ran once" 1 (Edge_profile.block_count edges ~func:"main" ~label:"a");
+  let seen = ref [] in
+  Edge_profile.iter_blocks (fun _ l n -> seen := (l, n) :: !seen) edges;
+  checkb "one fact per label" true
+    (List.rev !seen = [ ("a", 1); ("b", 1); ("entry", 1) ]);
+  Edge_profile.forget_block edges ~func:"main" ~label:"a";
+  checkb "forgotten a is dead" true
+    (Edge_profile.spec_dead edges ~func:"main" ~label:"a");
+  checki "b kept" 1 (Edge_profile.block_count edges ~func:"main" ~label:"b")
+
 let suite =
   [
     ( "profile",
@@ -561,5 +615,8 @@ let suite =
           test_hot_loop_thresholds;
         Alcotest.test_case "callee attribution" `Quick
           test_callee_time_attribution;
+        Alcotest.test_case "label queries linear in blocks" `Quick
+          test_many_blocks;
+        Alcotest.test_case "duplicate labels" `Quick test_duplicate_labels;
       ] );
   ]

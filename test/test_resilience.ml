@@ -26,7 +26,7 @@ let test_memory_journal_undo () =
   Memory.undo_to mem mk;
   check64 "pre-mark value restored" 42L (Memory.load mem o.Memory.base 8);
   checkb "post-mark allocation removed" true
-    (Memory.find_addr_opt mem base2 = None);
+    (Memory.locate_opt mem base2 = None);
   (* allocation cursors rewound: a replayed alloc reuses the address *)
   let o3 = Memory.alloc mem ~size:8 ~kind:(Memory.KHeap 3) ~ctx:[] in
   check64 "same base on replay" base2 o3.Memory.base
